@@ -28,24 +28,8 @@ All values are produced in the log domain; at the validation sizes
 import math
 from dataclasses import dataclass
 
-from .gl2 import GL2Matrix
+from .gl2 import GL2Matrix, _positive_parts, rep_diag_log
 from .special import LogValue, log_binomial
-
-
-def _positive_parts(h: GL2Matrix):
-    if not h.is_positive_hermitian():
-        raise ValueError("positive Hermitian input required")
-    h11 = h.g11.real
-    h22 = h.g22.real
-    return h11, h22, abs(h.g12) ** 2 / (h11 * h22)
-
-
-def exact_diag_log(h: GL2Matrix, n1: int, n2: int) -> float:
-    """ln of the exact diagonal element (the oracle every estimate is checked
-    against); stable log-sum-exp over the all-non-negative symmetric sum."""
-    from .gl2 import rep_diag_log
-
-    return rep_diag_log(h, n1, n2)
 
 
 def asympt_fixed_d(h: GL2Matrix, n1: int, d: int) -> LogValue:
@@ -160,7 +144,8 @@ def ratio_row(h: GL2Matrix, n1: int, *, d: int | None = None, nu: float | None =
     """One validation record: exact vs estimate at fixed d or fixed nu.
 
     Returns the CSV-facing fields (n1, n2, r, nu_or_d, log_exact,
-    log_estimate, ratio).
+    log_estimate, ratio, log_error_per_degree), the last being
+    |log_exact - log_estimate| / (n1 + n2).
     """
     if (d is None) == (nu is None):
         raise ValueError("specify exactly one of d or nu")
@@ -173,7 +158,7 @@ def ratio_row(h: GL2Matrix, n1: int, *, d: int | None = None, nu: float | None =
         n2 = round(nu * n1)
         log_est = asympt_laplace(h, n1, nu).log_magnitude
         nu_or_d = float(nu)
-    log_exact = exact_diag_log(h, n1, n2)
+    log_exact = rep_diag_log(h, n1, n2)
     return {
         "n1": n1,
         "n2": n2,
@@ -182,4 +167,5 @@ def ratio_row(h: GL2Matrix, n1: int, *, d: int | None = None, nu: float | None =
         "log_exact": log_exact,
         "log_estimate": log_est,
         "ratio": math.exp(log_exact - log_est),
+        "log_error_per_degree": abs(log_exact - log_est) / (n1 + n2),
     }

@@ -19,9 +19,9 @@ import tempfile
 
 import numpy as np
 
-from . import acceptance, indexing
+from . import acceptance
 from .asymptotics import ratio_row
-from .deformed import biorth_gram, norm_bounds, norm_sq, norm_sq_inner, riesz_growth
+from .deformed import biorth_gram, dual_norm_sq, norm_bounds, norm_identity_deviation, norm_sq, riesz_growth
 from .displacement import (
     bicoherent,
     compose_check,
@@ -32,14 +32,14 @@ from .displacement import (
     weight_operator_diag,
     weight_operator_numeric,
 )
-from .fock import commutator, cuntz_domain_dim, cuntz_isometry, metric_operators, pseudo_pair, safe_part, two_mode, deformed_two_mode
-from .gl2 import GL2Matrix, random_gl2, rep_block, rep_diag, rep_full
-from .hermite import hermite_coeffs, hermite_via_contraction, inner
+from .fock import ccr_deviation, cuntz_deviation, deformed_ccr_deviation, ladder_deviation, metric_deviation, pseudo_commutator_deviation, pseudo_pair
+from .gl2 import GL2Matrix, homomorphism_deviation, inverse_deviation, random_gl2, rep_block, rep_diag, rep_full, star_deviation
+from .hermite import hermite_coeffs, hermite_via_contraction, orthonormality_deviation
 from .quantize import (
     drift_weight,
     isotropic_gaussian_weight,
+    oracle_deviation,
     pseudo_canonical_defect,
-    quantize_regularized_oracle,
     unit_weight,
 )
 
@@ -140,23 +140,15 @@ def cmd_hermite(args) -> int:
         params.update({"n1": args.n1, "n2": args.n2, "z": str(z)})
         results.append({"check": "eval", "re": val.real, "im": val.imag, "pass": True})
         return emit_report(args, "hermite", params, results, True)
+    params["max_degree"] = args.max_degree
     if args.check == "orthonormality":
-        worst = 0.0
-        modes = [(a, L - a) for L in range(args.max_degree + 1) for a in range(L + 1)]
-        polys = {m: hermite_coeffs(*m) for m in modes}
-        for i, ma in enumerate(modes):
-            for mb in modes[i:]:
-                v = inner(polys[ma], polys[mb])
-                worst = max(worst, abs(v - (1.0 if ma == mb else 0.0)))
-        params["max_degree"] = args.max_degree
-        results.append(_check_row("orthonormality", worst, args.tol))
+        results.append(_check_row("orthonormality", orthonormality_deviation(args.max_degree), args.tol))
     elif args.check == "equivalence":
-        worst = 0.0
-        for L in range(args.max_degree + 1):
-            for n1 in range(L + 1):
-                diff = (hermite_coeffs(n1, L - n1) - hermite_via_contraction(n1, L - n1)).coeff
-                worst = max(worst, float(np.max(np.abs(diff))))
-        params["max_degree"] = args.max_degree
+        worst = np.max([
+            np.max(np.abs((hermite_coeffs(n1, L - n1) - hermite_via_contraction(n1, L - n1)).coeff))
+            for L in range(args.max_degree + 1)
+            for n1 in range(L + 1)
+        ])
         results.append(_check_row("construction-equivalence", worst, args.tol))
     else:
         raise ConfigError("hermite needs --eval or --check {orthonormality,equivalence}")
@@ -179,29 +171,16 @@ def cmd_rep(args) -> int:
             }
         )
     elif args.check == "homomorphism":
-        worst = 0.0
-        for _ in range(args.trials):
-            other = random_gl2(rng)
-            lhs = rep_block(g, args.L) @ rep_block(other, args.L)
-            rhs = rep_block(g @ other, args.L)
-            scale = max(1.0, float(np.max(np.abs(rhs))))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+        worst = np.max([homomorphism_deviation(g, random_gl2(rng), args.L) for _ in range(args.trials)])
         results.append(_check_row("homomorphism", worst, args.tol, trials=args.trials))
     elif args.check == "inverse":
-        dev = float(
-            np.max(np.abs(rep_block(g.inv(), args.L) @ rep_block(g, args.L) - np.eye(args.L + 1)))
-        )
-        results.append(_check_row("inverse", dev, args.tol))
+        results.append(_check_row("inverse", inverse_deviation(g, args.L), args.tol))
     elif args.check == "star":
-        dev = float(np.max(np.abs(rep_block(g.dagger(), args.L) - rep_block(g, args.L).conj().T)))
-        scale = max(1.0, float(np.max(np.abs(rep_block(g, args.L)))))
-        results.append(_check_row("star", dev / scale, args.tol))
+        results.append(_check_row("star", star_deviation(g, args.L), args.tol))
     elif args.check == "diag":
         block = rep_block(g, args.L)
-        worst = 0.0
-        for n1 in range(args.L + 1):
-            val = rep_diag(g, n1, args.L - n1)
-            worst = max(worst, abs(val - block[n1, n1]) / max(1.0, abs(val)))
+        diag = [rep_diag(g, n1, args.L - n1) for n1 in range(args.L + 1)]
+        worst = np.max([abs(val - block[n1, n1]) / max(1.0, abs(val)) for n1, val in enumerate(diag)])
         results.append(_check_row("diag-vs-block", worst, args.tol))
     return emit_report(args, "rep", params, results, all(r["pass"] for r in results))
 
@@ -214,12 +193,7 @@ def cmd_deformed(args) -> int:
         _, dev = biorth_gram(g, args.l_max)
         results.append(_check_row("biorthonormality-gram", dev, args.tol))
     elif args.check == "norm-identity":
-        worst = 0.0
-        for L in range(args.l_max + 1):
-            for n1 in range(L + 1):
-                a = norm_sq(g, n1, L - n1)
-                b = norm_sq_inner(g, n1, L - n1)
-                worst = max(worst, abs(a - b) / abs(a))
+        worst = norm_identity_deviation(g, range(args.l_max + 1))
         results.append(_check_row("norm-identity-rel", worst, args.tol))
     elif args.check == "table":
         for L in range(args.l_max + 1):
@@ -229,7 +203,7 @@ def cmd_deformed(args) -> int:
                     "n1": n1,
                     "n2": n2,
                     "norm_sq": norm_sq(g, n1, n2),
-                    "dual_norm_sq": rep_diag(g.gram().inv(), n1, n2).real,
+                    "dual_norm_sq": dual_norm_sq(g, n1, n2),
                 }
                 if min(n1, n2) >= 1:
                     nb = norm_bounds(g, n1, n2)
@@ -271,8 +245,6 @@ def cmd_asympt(args) -> int:
             row = ratio_row(h, n1, nu=args.nu)
         else:
             row = ratio_row(h, n1, d=args.d)
-        L = row["n1"] + row["n2"]
-        row["log_error_per_degree"] = abs(row["log_exact"] - row["log_estimate"]) / L
         row["pass"] = bool(row["log_error_per_degree"] <= args.tol)
         results.append(row)
     params = {"h": args.h or f"r={args.r}", "d": args.d, "nu": args.nu, "tol": args.tol}
@@ -282,56 +254,20 @@ def cmd_asympt(args) -> int:
 def cmd_fock(args) -> int:
     g = parse_gl2(args.g)
     L_max = args.l_max
-    eye_safe = np.eye(indexing.safe_dim(L_max))
     results = []
     wanted = args.check
-
     if wanted in ("all", "ccr"):
-        a1, a1d, a2, a2d = two_mode(L_max)
-        worst = 0.0
-        for i, ai in enumerate((a1, a2)):
-            for j, ajd in enumerate((a1d, a2d)):
-                c = safe_part(commutator(ai.mat, ajd.mat), L_max)
-                worst = max(worst, float(np.max(np.abs(c - (i == j) * eye_safe))))
-        results.append(_check_row("two-mode-ccr", worst, args.tol))
+        results.append(_check_row("two-mode-ccr", ccr_deviation(L_max), args.tol))
     if wanted in ("all", "deformed"):
-        A1, A2, A1d, A2d = deformed_two_mode(g, L_max)
-        G = g.gram().as_array()
-        worst = 0.0
-        for i, Ai in enumerate((A1, A2)):
-            for j, Ajd in enumerate((A1d, A2d)):
-                c = safe_part(commutator(Ai.mat, Ajd.mat), L_max)
-                worst = max(worst, float(np.max(np.abs(c - G[i, j] * eye_safe))))
-        results.append(_check_row("deformed-ccr", worst, args.tol))
+        results.append(_check_row("deformed-ccr", deformed_ccr_deviation(g, L_max), args.tol))
     if wanted in ("all", "pseudo"):
         pair = pseudo_pair(g, L_max)
-        c = safe_part(commutator(pair.a_op.mat, pair.b_op.mat), L_max)
-        results.append(
-            _check_row("pseudo-commutator", float(np.max(np.abs(c - eye_safe))), args.tol)
-        )
-        worst = 0.0
-        for n in range(1, min(12, pair.a_op.safe_dim)):
-            resid = pair.a_op.mat @ pair.vec_phi(n) - math.sqrt(n) * pair.vec_phi(n - 1)
-            worst = max(worst, float(np.max(np.abs(resid))))
-        results.append(_check_row("ladder-on-deformed-family", worst, args.tol))
+        results.append(_check_row("pseudo-commutator", pseudo_commutator_deviation(pair), args.tol))
+        results.append(_check_row("ladder-on-deformed-family", ladder_deviation(pair), args.tol))
     if wanted in ("all", "cuntz"):
-        d = indexing.dim(L_max)
-        worst = 0.0
-        total = np.zeros((d, d), dtype=complex)
-        for n in range(L_max + 1):
-            S = cuntz_isometry(n, L_max)
-            total += S.mat @ S.mat.conj().T
-            prod = S.mat.conj().T @ S.mat
-            k = cuntz_domain_dim(n, L_max)
-            expect = np.zeros((d, d))
-            expect[:k, :k] = np.eye(k)
-            worst = max(worst, float(np.max(np.abs(prod - expect))))
-        worst = max(worst, float(np.max(np.abs(total - np.eye(d)))))
-        results.append(_check_row("cuntz-relations", worst, args.tol))
+        results.append(_check_row("cuntz-relations", cuntz_deviation(L_max), args.tol))
     if wanted in ("all", "metric"):
-        S_phi, S_psi = metric_operators(g, L_max)
-        dev = float(np.max(np.abs(S_phi.mat @ S_psi.mat - np.eye(S_phi.dim))))
-        results.append(_check_row("metric-inverse-pair", dev, args.tol))
+        results.append(_check_row("metric-inverse-pair", metric_deviation(g, L_max), args.tol))
     params = {"g": args.g, "l_max": L_max, "check": wanted, "tol": args.tol}
     return emit_report(args, "fock", params, results, all(r["pass"] for r in results))
 
@@ -411,19 +347,14 @@ def cmd_quantize(args) -> int:
         results.append(_check_row("pseudo-canonical-commutator", dev, args.tol))
         params.update({"g": args.g, "l_max": args.l_max})
     elif args.check == "oracle":
-        # one row per regularizer value: a (lambda, block-deviation) sweep
-        g = parse_gl2(args.g)
-        w = _weight_from_args(args)
-        pair = pseudo_pair(g, args.l_max)
-        k = indexing.dim(min(4, args.l_max))
-        scale = float(np.max(np.abs(pair.a_op.mat[:k, :k])))
-        for lam_text in str(args.regularizer).split(","):
-            lam = float(lam_text)
-            orc = quantize_regularized_oracle("z", lam, w, g, args.l_max)
-            dev = float(np.max(np.abs((orc.mat - pair.a_op.mat)[:k, :k]))) / scale
-            results.append(
-                _check_row("oracle-vs-lowering", dev, args.tol, regularizer=lam, block_L=min(4, args.l_max))
+        pair = pseudo_pair(parse_gl2(args.g), args.l_max)
+        dev = oracle_deviation(pair, "z", args.regularizer, _weight_from_args(args))
+        results.append(
+            _check_row(
+                "oracle-vs-lowering", dev, args.tol,
+                regularizer=args.regularizer, block_L=min(4, args.l_max),
             )
+        )
         params.update({"g": args.g, "l_max": args.l_max, "regularizer": str(args.regularizer)})
     return emit_report(args, "quantize", params, results, all(r["pass"] for r in results))
 
@@ -432,7 +363,7 @@ def cmd_suite(args) -> int:
     results = []
     all_pass = True
     for res in acceptance.run_all():
-        print(res.line())
+        print(res.line(), file=sys.stderr)
         all_pass = all_pass and res.passed
         row = {
             "check": res.name,

@@ -118,6 +118,17 @@ def norm_sq_inner(g: GL2Matrix, n1: int, n2: int) -> float:
     return inner(p, p).real
 
 
+def norm_identity_deviation(g: GL2Matrix, L_values) -> float:
+    """Max relative gap between the exact squared norm and direct Gaussian
+    integration over every (n1, n2) with n1 + n2 in L_values."""
+    rel = []
+    for L in L_values:
+        for n1 in range(L + 1):
+            a = norm_sq(g, n1, L - n1)
+            rel.append(abs(a - norm_sq_inner(g, n1, L - n1)) / abs(a))
+    return float(np.max(rel))
+
+
 @dataclass(frozen=True)
 class NormBounds:
     """Log-domain values of the norm-squared bound sandwich at one index."""

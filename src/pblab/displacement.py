@@ -54,49 +54,6 @@ def canonical_displacement(z: complex, dim: int) -> np.ndarray:
     return pref * lag * power
 
 
-@dataclass(frozen=True)
-class DisplacementMatrix:
-    """Displacement operator on the flat truncation, optionally deformed."""
-
-    z: complex
-    L_max: int
-    mat: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return indexing.dim(self.L_max)
-
-
-def displacement_matrix(z: complex, L_max: int, g: GL2Matrix | None = None) -> DisplacementMatrix:
-    """D(z) in flat coordinates; with g, the conjugated T(g) D(z) T(g)^{-1}."""
-    d = indexing.dim(L_max)
-    mat = canonical_displacement(z, d)
-    if g is not None:
-        T = rep_full(g, L_max)
-        mat = T.dense() @ mat @ T.inv().dense()
-    return DisplacementMatrix(complex(z), L_max, mat)
-
-
-def dual_displacement_matrix(z: complex, L_max: int, g: GL2Matrix | None = None) -> DisplacementMatrix:
-    """The dual displacement: canonical elements conjugated by T((dagger g)^{-1})."""
-    d = indexing.dim(L_max)
-    mat = canonical_displacement(z, d)
-    if g is not None:
-        T = rep_full(g, L_max)
-        ttilde = T.inv().dense().conj().T  # T(gtilde) = (T(g)^dag)^{-1}
-        mat = ttilde @ mat @ T.dense().conj().T  # ttilde^{-1} = T(g)^dag
-    return DisplacementMatrix(complex(z), L_max, mat)
-
-
-def dual_displacement_elements(z: complex, dim: int) -> np.ndarray:
-    """Matrix-element array of the dual displacement: conj(D[n, m](-z)).
-
-    For the canonical (unitary) matrix this coincides with D(z) entry by
-    entry, which is the pairing identity D(-z) = D(z)^{-1} = (dual D)(z)^dag.
-    """
-    return canonical_displacement(-z, dim).conj().T
-
-
 def compose_check(z1: complex, z2: complex, L_max: int, check_L: int | None = None) -> float:
     """Max deviation of D(z1) D(z2) - e^{-i z1^z2} D(z1+z2) on low sectors.
 
@@ -227,7 +184,7 @@ def covariance_check(z: complex, zp: complex, g: GL2Matrix, L_max: int, check_L:
     shifted = phase * coherent_coefficients(z + zp, d)
     dev_phi = np.max(np.abs((Td @ displaced - Td @ shifted)[:k]))
     dev_psi = np.max(np.abs((Ttilde @ displaced - Ttilde @ shifted)[:k]))
-    return float(max(dev_phi, dev_psi))
+    return float(np.max([dev_phi, dev_psi]))
 
 
 def resolution_check(

@@ -8,12 +8,14 @@ sector, so operator identities are exact only on the safe block of sectors
 L <= L_max - 1; all commutator checks project there.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from . import indexing
 from .gl2 import BlockDiagOperator, GL2Matrix, rep_full
@@ -42,11 +44,6 @@ class TruncatedOperator:
     @property
     def safe_dim(self) -> int:
         return indexing.safe_dim(self.L_max)
-
-    def safe_block(self) -> np.ndarray:
-        """Sub-matrix on sectors L <= L_max - 1, where ladder identities are exact."""
-        s = self.safe_dim
-        return self.mat[:s, :s]
 
     def dagger(self) -> "TruncatedOperator":
         return TruncatedOperator(self.L_max, self.mat.conj().T)
@@ -198,6 +195,72 @@ def metric_operators(g: GL2Matrix, L_max: int) -> tuple[TruncatedOperator, Trunc
         TruncatedOperator(L_max, s_phi.dense()),
         TruncatedOperator(L_max, s_psi.dense()),
     )
+
+
+def _max_abs(residuals) -> float:
+    """Largest entry modulus over an iterable of residual arrays, reduced one
+    array at a time; NaN if any entry is NaN."""
+    return float(np.max([np.max(np.abs(r)) for r in residuals]))
+
+
+def _ccr_residuals(lowers, raisers, gram: np.ndarray, L_max: int):
+    eye_safe = np.eye(indexing.safe_dim(L_max))
+    return (
+        safe_part(commutator(x.mat, y.mat), L_max) - gram[i, j] * eye_safe
+        for i, x in enumerate(lowers)
+        for j, y in enumerate(raisers)
+    )
+
+
+def ccr_deviation(L_max: int) -> float:
+    """Max deviation of [a_i, a_j^dag] = delta_ij I on the safe block."""
+    a1, a1d, a2, a2d = two_mode(L_max)
+    return _max_abs(_ccr_residuals((a1, a2), (a1d, a2d), np.eye(2), L_max))
+
+
+def deformed_ccr_deviation(g: GL2Matrix, L_max: int) -> float:
+    """Max deviation of [A_i, A_j^dag] = ((dagger g) g)_ij I on the safe block
+    and of [A1, A2] = 0 on the whole truncation."""
+    A1, A2, A1d, A2d = deformed_two_mode(g, L_max)
+    ccr = _ccr_residuals((A1, A2), (A1d, A2d), g.gram().as_array(), L_max)
+    return _max_abs(itertools.chain([commutator(A1.mat, A2.mat)], ccr))
+
+
+def pseudo_commutator_deviation(pair: PseudoPair) -> float:
+    """Max deviation of [a, b] = I on the safe block."""
+    c = safe_part(commutator(pair.a_op.mat, pair.b_op.mat), pair.L_max)
+    return float(np.max(np.abs(c - np.eye(pair.a_op.safe_dim))))
+
+
+def ladder_deviation(pair: PseudoPair) -> float:
+    """Max residual of a phi_0 = 0 and a phi_n = sqrt(n) phi_{n-1} on the
+    deformed family, 1 <= n < min(12, safe_dim)."""
+    a, phi = pair.a_op.mat, pair.vec_phi
+    steps = range(1, min(12, pair.a_op.safe_dim))
+    return _max_abs([a @ phi(0), *(a @ phi(n) - math.sqrt(n) * phi(n - 1) for n in steps)])
+
+
+def cuntz_deviation(L_max: int) -> float:
+    """Max deviation of S_m^dag S_n = delta_mn (identity on the n-th
+    isometry's domain) for m <= n, and of sum_n S_n S_n^dag = I."""
+    d = indexing.dim(L_max)
+    # partial permutations: sparse products keep the (L_max+1)(L_max+2)/2
+    # pairs cheap, and every entry of a product is an exact 0 or 1
+    shifts = [sparse.csr_array(cuntz_isometry(n, L_max).mat) for n in range(L_max + 1)]
+    total = sum(s @ s.conj().T for s in shifts).toarray() - np.eye(d)
+    relations = (
+        (shifts[m].conj().T @ s_n).toarray()
+        - (m == n) * np.diag(np.arange(d) < cuntz_domain_dim(n, L_max))
+        for n, s_n in enumerate(shifts)
+        for m in range(n + 1)
+    )
+    return _max_abs(itertools.chain([total], relations))
+
+
+def metric_deviation(g: GL2Matrix, L_max: int) -> float:
+    """Max deviation of S_phi S_psi = I and of the Hermiticity of S_phi."""
+    s_phi, s_psi = metric_operators(g, L_max)
+    return _max_abs([s_phi.mat @ s_psi.mat - np.eye(s_phi.dim), s_phi.mat - s_phi.mat.conj().T])
 
 
 def save_operator(op: TruncatedOperator, basepath) -> None:

@@ -143,6 +143,25 @@ def rep_block(g: GL2Matrix, L: int) -> np.ndarray:
     return out
 
 
+def homomorphism_deviation(a: GL2Matrix, b: GL2Matrix, L: int) -> float:
+    """Max |T^L(a) T^L(b) - T^L(ab)|, relative to max(1, max |T^L(ab)|)."""
+    tab = rep_block(a @ b, L)
+    scale = max(1.0, float(np.max(np.abs(tab))))
+    return float(np.max(np.abs(rep_block(a, L) @ rep_block(b, L) - tab))) / scale
+
+
+def inverse_deviation(g: GL2Matrix, L: int) -> float:
+    """Max |T^L(g^{-1}) T^L(g) - I| (absolute)."""
+    return float(np.max(np.abs(rep_block(g.inv(), L) @ rep_block(g, L) - np.eye(L + 1))))
+
+
+def star_deviation(g: GL2Matrix, L: int) -> float:
+    """Max |T^L(dagger g) - T^L(g)^dag|, relative to max(1, max |T^L(g)|)."""
+    tg = rep_block(g, L)
+    scale = max(1.0, float(np.max(np.abs(tg))))
+    return float(np.max(np.abs(rep_block(g.dagger(), L) - tg.conj().T))) / scale
+
+
 def rep_diag_qsum(h: GL2Matrix, n1: int, n2: int) -> complex:
     """Diagonal element at (n1, n2) by direct q-sum (reference route)."""
     if n1 < 0 or n2 < 0:

@@ -26,10 +26,6 @@ from scipy.special import gammaln
 from .quadrature import exact_gaussian_moment
 
 
-def _factorial_float(n: int) -> float:
-    return float(math.factorial(n)) if n <= 170 else float(np.exp(gammaln(n + 1)))
-
-
 class PolyCoeffs:
     """Dense coefficient grid of a polynomial in z and conj(z)."""
 
@@ -224,6 +220,18 @@ def inner(p: PolyCoeffs, q: PolyCoeffs) -> complex:
 
 def norm_sq(p: PolyCoeffs) -> float:
     return inner(p, p).real
+
+
+def orthonormality_deviation(max_degree: int) -> float:
+    """Max |<h_a, h_b> - delta_ab| over all mode pairs of degree <= max_degree
+    (float inner products); NaN if any inner product is NaN."""
+    modes = [(n1, L - n1) for L in range(max_degree + 1) for n1 in range(L + 1)]
+    polys = [hermite_coeffs(*m) for m in modes]
+    return float(np.max([
+        abs(inner(p, q) - (1.0 if i == j else 0.0))
+        for i, p in enumerate(polys)
+        for j, q in enumerate(polys[i:], i)
+    ]))
 
 
 # -- exact integer backend ---------------------------------------------------

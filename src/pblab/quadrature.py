@@ -108,15 +108,6 @@ def polar_scheme(nr: int, ntheta: int, radial_scale: float = 1.0) -> PlaneScheme
     return PlaneScheme("polar", nodes, weights, 2 * nr - 1, "plain", (nr, ntheta, radial_scale))
 
 
-def build_scheme(kind: str, **params) -> PlaneScheme:
-    """Scheme factory: kind "tensor-hermite" (n) or "polar" (nr, ntheta, radial_scale)."""
-    if kind == "tensor-hermite":
-        return tensor_hermite_scheme(**params)
-    if kind == "polar":
-        return polar_scheme(**params)
-    raise ValueError(f"unknown scheme kind {kind!r}")
-
-
 def refine(scheme: PlaneScheme) -> PlaneScheme:
     """Same scheme with all node counts doubled."""
     if scheme.kind == "tensor-hermite":

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from . import indexing
-from .fock import TruncatedOperator, pseudo_pair
+from .fock import PseudoPair, TruncatedOperator, commutator, pseudo_pair, safe_part
 from .gl2 import GL2Matrix, rep_full
 from .quadrature import PlaneScheme, polar_scheme
 
@@ -159,6 +159,17 @@ def quantize_regularized_oracle(
     return TruncatedOperator(L_max, mat)
 
 
+def oracle_deviation(pair: PseudoPair, kind: str, lam: float, w: WeightSpec) -> float:
+    """Max deviation of the lam-regularized oracle for kind "z" ("zbar") from
+    the unregularized pair.a_op (pair.b_op) on sectors <= 4, relative to
+    the block maximum of the latter."""
+    target = pair.a_op if kind == "z" else pair.b_op
+    k = indexing.dim(min(4, pair.L_max))
+    orc = quantize_regularized_oracle(kind, lam, w, pair.g, pair.L_max)
+    scale = float(np.max(np.abs(target.mat[:k, :k])))
+    return float(np.max(np.abs((orc.mat - target.mat)[:k, :k]))) / scale
+
+
 def mollified_lowering_diagonal(lam: float, dim: int) -> np.ndarray:
     """Predicted sub-diagonal of the lam-regularized quantization of z with
     the unit weight: sqrt(n) (1 + lam/2)^{-2} (1 - lam/(1+lam/2))^{n-1}.
@@ -175,6 +186,5 @@ def mollified_lowering_diagonal(lam: float, dim: int) -> np.ndarray:
 def pseudo_canonical_defect(w: WeightSpec, g: GL2Matrix, L_max: int) -> float:
     """Max deviation of [A_z, A_zbar] - I on the safe block."""
     a_z, a_zbar = quantize_linear(w, g, L_max)
-    comm = a_z.mat @ a_zbar.mat - a_zbar.mat @ a_z.mat
-    s = indexing.safe_dim(L_max)
-    return float(np.max(np.abs(comm[:s, :s] - np.eye(s))))
+    comm = safe_part(commutator(a_z.mat, a_zbar.mat), L_max)
+    return float(np.max(np.abs(comm - np.eye(indexing.safe_dim(L_max)))))

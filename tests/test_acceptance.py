@@ -56,12 +56,11 @@ class TestQuantizationCriterion:
     def test_unmeetable_regularizer_fails_on_its_predicted_bias(self, monkeypatch):
         # the former pair (2%, lam = 0.01): oracle and prediction both at 0.01
         _predict_at(monkeypatch, 0.01)
+        oracle = quantize.quantize_regularized_oracle
         monkeypatch.setattr(
-            acceptance,
+            quantize,
             "quantize_regularized_oracle",
-            lambda kind, _lam, w, g, L_max: quantize.quantize_regularized_oracle(
-                kind, 0.01, w, g, L_max
-            ),
+            lambda kind, _lam, w, g, L_max: oracle(kind, 0.01, w, g, L_max),
         )
         result = criterion_11_quantization()
         assert not result.passed
@@ -70,7 +69,7 @@ class TestQuantizationCriterion:
 
     def test_predicted_bias_above_tolerance_fails_even_with_zero_deviation(self, monkeypatch):
         _predict_at(monkeypatch, 0.01)
-        monkeypatch.setattr(acceptance, "quantize_regularized_oracle", _exact_oracle)
+        monkeypatch.setattr(quantize, "quantize_regularized_oracle", _exact_oracle)
         result = criterion_11_quantization()
         assert result.deviation == 0.0
         assert not result.passed
@@ -81,7 +80,7 @@ class TestQuantizationCriterion:
             # TruncatedOperator rejects NaN entries, so stand in a bare matrix
             return SimpleNamespace(mat=np.full_like(op.mat, np.nan)) if kind == "zbar" else op
 
-        monkeypatch.setattr(acceptance, "quantize_regularized_oracle", nan_zbar)
+        monkeypatch.setattr(quantize, "quantize_regularized_oracle", nan_zbar)
         result = criterion_11_quantization()
         assert math.isnan(result.deviation)
         assert not result.passed

@@ -8,12 +8,11 @@ from pblab.asymptotics import (
     asympt_fixed_d,
     asympt_laplace,
     binomial_diag_log,
-    exact_diag_log,
     laplace_root,
     ratio_row,
     stirling_r1_log,
 )
-from pblab.gl2 import GL2Matrix, diag_log_from_parts
+from pblab.gl2 import GL2Matrix, diag_log_from_parts, rep_diag_log
 
 H_HALF = GL2Matrix(2, 1, 1, 1)  # r = 1/2
 
@@ -34,7 +33,7 @@ class TestFixedDifference:
     def test_log_error_per_degree(self, r, d):
         h = h_of_r(r)
         est = asympt_fixed_d(h, 200, d).log_magnitude
-        exact = exact_diag_log(h, 200, 200 + d)
+        exact = rep_diag_log(h, 200, 200 + d)
         assert abs(exact - est) / (400 + d) <= 0.01
 
     def test_scale_homogeneity(self):
@@ -97,7 +96,7 @@ class TestLaplaceEstimate:
     def test_log_error_per_degree(self, r):
         h = h_of_r(r)
         est = asympt_laplace(h, 100, 2.0).log_magnitude
-        exact = exact_diag_log(h, 100, 200)
+        exact = rep_diag_log(h, 100, 200)
         assert abs(exact - est) / 300 <= 0.01
 
     def test_monotone_improvement(self):
@@ -134,7 +133,9 @@ class TestDegenerateAndStirling:
 class TestRatioRow:
     def test_fields(self):
         row = ratio_row(H_HALF, 50, d=3)
-        assert set(row) == {"n1", "n2", "r", "nu_or_d", "log_exact", "log_estimate", "ratio"}
+        assert set(row) == {
+            "n1", "n2", "r", "nu_or_d", "log_exact", "log_estimate", "ratio", "log_error_per_degree"
+        }
         assert row["n2"] == 53
         assert row["r"] == pytest.approx(0.5)
 

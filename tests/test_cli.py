@@ -1,8 +1,32 @@
+import csv
+import io
 import json
+import math
+import shlex
+from pathlib import Path
 
 import pytest
 
+from pblab import acceptance, fock, gl2, hermite
+from pblab.acceptance import CriterionResult
 from pblab.cli import main, parse_complex, parse_gl2
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """(argv, expected exit code) for each `pblab ...` line of the README's
+    command-line block; a trailing comment saying "exits 1" sets the code."""
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        cmd, _, comment = line.partition("#")
+        argv = shlex.split(cmd)
+        if argv:
+            assert argv[0] == "pblab"
+            examples.append((argv[1:], 1 if "exits 1" in comment else 0))
+    return examples
 
 
 def run_cli(capsys, *argv):
@@ -124,3 +148,75 @@ class TestOutputs:
         cfg.write_text("no-such-option = 3\n")
         code, _ = run_cli(capsys, "deformed", "--g", "1,1,0,1", "--config", str(cfg))
         assert code == 2
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [ex for ex in readme_examples() if ex[0][0] != "suite"],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_example_output_and_exit_code(self, capsys, argv, code):
+        got, out = run_cli(capsys, *argv)
+        assert got == code
+        if "csv" in argv:
+            header = out.splitlines()[0]
+            assert f"`{header}`" in README.read_text()  # the documented header
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows)
+        else:
+            payload = json.loads(out)
+            assert payload["schema"] == 1
+            assert payload["passed"] is (code == 0)
+
+    def test_suite_example_is_listed(self):
+        assert (["suite"], 0) in readme_examples()
+
+
+class TestSuiteOutput:
+    def test_stdout_is_json_and_lines_go_to_stderr(self, capsys, monkeypatch):
+        stubs = [
+            CriterionResult(1, "stub one", 1e-13, 1e-12, True, 0.5),
+            CriterionResult(2, "stub two", 1e-3, 1e-10, False, 0.25),
+        ]
+        monkeypatch.setattr(acceptance, "run_all", lambda: stubs)
+        code = main(["suite"])
+        captured = capsys.readouterr()
+        assert code == 1
+        payload = json.loads(captured.out)
+        assert [row["pass"] for row in payload["results"]] == [True, False]
+        assert captured.err.splitlines() == [res.line() for res in stubs]
+
+
+def _nan_on_call(monkeypatch, module, name, nth):
+    """Make the nth call of module.name return its result times NaN."""
+    real = getattr(module, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(None)
+        out = real(*args)
+        return out * math.nan if len(calls) == nth else out
+
+    monkeypatch.setattr(module, name, patched)
+
+
+class TestNaNFails:
+    # each NaN lands in a term after the first: the second inner product, the
+    # second commutator, and (three blocks per trial) the second trial
+    @pytest.mark.parametrize(
+        "module, name, nth, argv",
+        [
+            (hermite, "inner", 2, ["hermite", "--check", "orthonormality", "--max-degree", "3"]),
+            (fock, "commutator", 2, ["fock", "--l-max", "4", "--check", "ccr"]),
+            (gl2, "rep_block", 5, ["rep", "--g", "1,1,0,1", "--L", "3", "--trials", "3"]),
+        ],
+        ids=["hermite-orthonormality", "fock-ccr", "rep-homomorphism"],
+    )
+    def test_nan_in_a_later_term_fails(self, capsys, monkeypatch, module, name, nth, argv):
+        _nan_on_call(monkeypatch, module, name, nth)
+        code, out = run_cli(capsys, *argv)
+        (row,) = json.loads(out)["results"]
+        assert math.isnan(row["deviation"])
+        assert row["pass"] is False
+        assert code == 1

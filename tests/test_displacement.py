@@ -11,9 +11,6 @@ from pblab.displacement import (
     coherent_coefficients,
     compose_check,
     covariance_check,
-    displacement_matrix,
-    dual_displacement_elements,
-    dual_displacement_matrix,
     kernel,
     kernel_reproducing_check,
     norm_growth_check,
@@ -100,22 +97,11 @@ class TestCanonicalElements:
                 assert via_first == pytest.approx(via_second, rel=1e-9, abs=1e-12)
 
     def test_dual_pairing_identity(self):
+        # canonical pairing D(-z)^dag = D(z): the unitary displacement is its
+        # own dual
         z = 0.8 + 0.1j
-        lhs = dual_displacement_elements(z, 25)
-        assert np.array_equal(lhs, canonical_displacement(-z, 25).conj().T)
-        # canonical unitary case: the dual elements coincide with D(z)
+        lhs = canonical_displacement(-z, 25).conj().T
         assert np.max(np.abs(lhs - canonical_displacement(z, 25))) <= 1e-12
-
-    def test_deformed_matrix_is_conjugated(self):
-        z = 0.4 - 0.2j
-        dm = displacement_matrix(z, 6, SHEAR)
-        T = rep_full(SHEAR, 6)
-        expect = T.dense() @ canonical_displacement(z, dm.dim) @ T.inv().dense()
-        assert np.max(np.abs(dm.mat - expect)) <= 1e-12
-        dual_dm = dual_displacement_matrix(z, 6, SHEAR)
-        ttilde = T.inv().dense().conj().T
-        expect_dual = ttilde @ canonical_displacement(z, dm.dim) @ T.dense().conj().T
-        assert np.max(np.abs(dual_dm.mat - expect_dual)) <= 1e-12
 
 
 class TestComposition:

@@ -6,7 +6,6 @@ import pytest
 from pblab.quadrature import (
     ConvergenceError,
     PlaneScheme,
-    build_scheme,
     exact_gaussian_moment,
     gaussian_moment,
     integrate,
@@ -82,12 +81,10 @@ class TestSchemes:
         val = integrate(lambda z: np.exp(-np.abs(z) ** 2), sch, "plane")
         assert abs(val - 1.0) < 1e-12
 
-    def test_build_scheme_factory_and_validation(self):
-        sch = build_scheme("polar", nr=8, ntheta=4, radial_scale=2.0)
+    def test_scheme_constructors_and_validation(self):
+        sch = polar_scheme(8, 4, radial_scale=2.0)
         assert sch.kind == "polar" and sch.params == (8, 4, 2.0)
-        assert build_scheme("tensor-hermite", n=3).order == 5
-        with pytest.raises(ValueError):
-            build_scheme("cartesian", n=3)
+        assert tensor_hermite_scheme(3).order == 5
         with pytest.raises(ValueError):
             polar_scheme(0, 4)
         with pytest.raises(ValueError):
