@@ -27,8 +27,7 @@ from .displacement import (
     compose_check,
     covariance_check,
     resolution_check,
-    weight_operator_diag,
-    weight_operator_numeric,
+    weight_diagonal_table,
 )
 from .fock import (
     ccr_deviation,
@@ -288,12 +287,9 @@ def criterion_09_weight_diagonal() -> CriterionResult:
     """Quadrature of the isotropic weight family matches the closed form
     2/(1-s) ((s+1)/(s-1))^n to 1e-6 for s in {-3,-1,0,0.5}, n <= 10."""
     tol = 1e-6
-    worst = 0.0
-    for s in (-3.0, -1.0, 0.0, 0.5):
-        for n in range(11):
-            closed = weight_operator_diag(s, n)
-            numeric = weight_operator_numeric(s, n)
-            worst = _worst(worst, abs(numeric - closed) / max(1.0, abs(closed)))
+    worst = _worst(
+        *(row["rel_err"] for s in (-3.0, -1.0, 0.0, 0.5) for row in weight_diagonal_table(s, 10))
+    )
     return CriterionResult(
         9, "isotropic weight-operator diagonal, closed form vs quadrature", worst, tol, worst <= tol
     )

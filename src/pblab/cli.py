@@ -27,10 +27,9 @@ from .displacement import (
     compose_check,
     covariance_check,
     kernel_reproducing_check,
-    norm_growth_check,
+    norm_growth_certificate,
     resolution_check,
-    weight_operator_diag,
-    weight_operator_numeric,
+    weight_diagonal_table,
 )
 from .fock import ccr_deviation, cuntz_deviation, deformed_ccr_deviation, ladder_deviation, metric_deviation, pseudo_commutator_deviation, pseudo_pair
 from .gl2 import GL2Matrix, homomorphism_deviation, inverse_deviation, random_gl2, rep_block, rep_diag, rep_full, star_deviation
@@ -290,10 +289,7 @@ def cmd_displace(args) -> int:
         dev = resolution_check(g, min(args.l_max, 14), R=args.radius)
         results.append(_check_row("resolution-of-identity", dev, max(args.tol, 1e-8)))
     if args.check in ("all", "growth"):
-        Td = rep_full(g, min(args.l_max, 14)).dense()
-        norms = np.linalg.norm(Td, axis=0)
-        r_env = math.sqrt(g.gram().g11.real + g.gram().g22.real)
-        ok = norm_growth_check(norms, r_env, 0.0)
+        _, r_env, ok = norm_growth_certificate(rep_full(g, min(args.l_max, 14)), g.gram())
         results.append({"check": "norm-growth", "r": r_env, "alpha": 0.0, "pass": bool(ok)})
     if args.check in ("all", "bicoherent"):
         state = bicoherent(z1, g, min(args.l_max, 20), args.eps)
@@ -327,18 +323,10 @@ def cmd_quantize(args) -> int:
     if args.check == "table":
         if args.s >= 1:
             raise ConfigError("isotropic family needs s < 1")
-        for n in range(args.n_max + 1):
-            closed = weight_operator_diag(args.s, n)
-            numeric = weight_operator_numeric(args.s, n)
-            results.append(
-                {
-                    "n": n,
-                    "closed_form": closed,
-                    "numeric": numeric,
-                    "abs_err": abs(numeric - closed),
-                    "pass": bool(abs(numeric - closed) <= args.tol * max(1.0, abs(closed))),
-                }
-            )
+        for row in weight_diagonal_table(args.s, args.n_max):
+            row.pop("rel_err")
+            row["pass"] = bool(row["abs_err"] <= args.tol * max(1.0, abs(row["closed_form"])))
+            results.append(row)
         params["n_max"] = args.n_max
     elif args.check == "pseudo-canonical":
         g = parse_gl2(args.g)

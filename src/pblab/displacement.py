@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre, eval_laguerre, gammaincc, gammaln
 
 from . import indexing
-from .gl2 import GL2Matrix, rep_full
+from .gl2 import BlockDiagOperator, GL2Matrix, rep_full
 from .quadrature import ConvergenceError, PlaneScheme, integrate, polar_scheme, refine
 
 
@@ -43,15 +43,19 @@ def canonical_displacement(z: complex, dim: int) -> np.ndarray:
         raise ValueError(f"need dim >= 1, got {dim}")
     z = complex(z)
     t = abs(z) ** 2
-    m, n = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-    lo = np.minimum(m, n)
-    diff = np.abs(m - n)
-    pref = np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + diff + 1)) - t / 2)
-    lag = eval_genlaguerre(lo, diff, t)
-    arg = np.where(m >= n, z, -np.conj(z))
+    # the m >= n branch on the lower triangle; the m < n branch is
+    # D[n, m] = (-1)^(m-n) conj(D[m, n]), since the prefactor and the
+    # Laguerre value are real
+    m, n = np.tril_indices(dim)
+    diff = m - n
+    pref = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)) - t / 2)
     # 0^0 = 1 on the diagonal at z = 0
-    power = np.where(diff == 0, 1.0 + 0.0j, arg.astype(complex) ** diff)
-    return pref * lag * power
+    power = np.where(diff == 0, 1.0 + 0.0j, z**diff)
+    lower = pref * eval_genlaguerre(n, diff, t) * power
+    out = np.empty((dim, dim), dtype=complex)
+    out[n, m] = np.where(diff % 2 == 0, 1.0, -1.0) * np.conj(lower)
+    out[m, n] = lower
+    return out
 
 
 def compose_check(z1: complex, z2: complex, L_max: int, check_L: int | None = None) -> float:
@@ -126,16 +130,11 @@ def bicoherent(z: complex, g: GL2Matrix, L_max: int, eps: float) -> BiCoherentPa
     z = complex(z)
     d = indexing.dim(L_max)
     T = rep_full(g, L_max)
-    Td = T.dense()
-    Ttilde = np.linalg.inv(Td.conj().T)
-    norms_phi = np.linalg.norm(Td, axis=0)
-    norms_psi = np.linalg.norm(Ttilde, axis=0)
+    T_tilde = T.inv().dagger()
     gram = g.gram()
-    r_env = math.sqrt((gram.g11 + gram.g22).real)
-    r_env_dual = math.sqrt((gram.inv().g11 + gram.inv().g22).real)
-    if not norm_growth_check(norms_phi, r_env, 0.0) or not norm_growth_check(
-        norms_psi, r_env_dual, 0.0
-    ):
+    norms_phi, r_env, ok_phi = norm_growth_certificate(T, gram)
+    norms_psi, r_env_dual, ok_psi = norm_growth_certificate(T_tilde, gram.inv())
+    if not (ok_phi and ok_psi):
         raise ArithmeticError("norm-growth certificate failed inside the truncation")
 
     za = abs(z)
@@ -161,7 +160,7 @@ def bicoherent(z: complex, g: GL2Matrix, L_max: int, eps: float) -> BiCoherentPa
         )
     coeff = coherent_coefficients(z, d)
     coeff[n_cut + 1 :] = 0.0
-    return BiCoherentPair(z, Td @ coeff, Ttilde @ coeff, n_cut, tail_bound)
+    return BiCoherentPair(z, T.apply(coeff), T_tilde.apply(coeff), n_cut, tail_bound)
 
 
 def covariance_check(z: complex, zp: complex, g: GL2Matrix, L_max: int, check_L: int | None = None) -> float:
@@ -172,8 +171,7 @@ def covariance_check(z: complex, zp: complex, g: GL2Matrix, L_max: int, check_L:
     """
     d = indexing.dim(L_max)
     T = rep_full(g, L_max)
-    Td = T.dense()
-    Ttilde = T.inv().dense().conj().T
+    T_tilde = T.inv().dagger()
     dcan_z = canonical_displacement(z, d)
     phase = math.e ** (-1j * wedge(z, zp))
     k = indexing.dim(check_L) if check_L is not None else indexing.safe_dim(L_max)
@@ -182,8 +180,8 @@ def covariance_check(z: complex, zp: complex, g: GL2Matrix, L_max: int, check_L:
     # T(g) D T(g)^{-1} [T(g) v] = T(g) [D v], likewise for the dual family
     displaced = dcan_z @ coherent_coefficients(zp, d)
     shifted = phase * coherent_coefficients(z + zp, d)
-    dev_phi = np.max(np.abs((Td @ displaced - Td @ shifted)[:k]))
-    dev_psi = np.max(np.abs((Ttilde @ displaced - Ttilde @ shifted)[:k]))
+    dev_phi = np.max(np.abs((T.apply(displaced) - T.apply(shifted))[:k]))
+    dev_psi = np.max(np.abs((T_tilde.apply(displaced) - T_tilde.apply(shifted))[:k]))
     return float(np.max([dev_phi, dev_psi]))
 
 
@@ -209,22 +207,22 @@ def resolution_check(
         scheme = polar_scheme(64, 64)
     d = indexing.dim(L_max)
     T = rep_full(g, L_max)
-    Td = T.dense()
-    Td_inv = T.inv().dense()
+    T_inv = T.inv()
 
-    def moment_block(sch: PlaneScheme) -> np.ndarray:
+    def resolved(sch: PlaneScheme) -> np.ndarray:
         nodes = sch.nodes
         V = np.empty((d, len(nodes)), dtype=complex)
         V[0] = np.exp(-np.abs(nodes) ** 2 / 2)
         for n in range(1, d):
             V[n] = V[n - 1] * nodes / math.sqrt(n)
-        return (V * sch.weights[None, :]) @ V.conj().T
+        moments = (V * sch.weights[None, :]) @ V.conj().T
+        return T.apply(T_inv.apply_right(moments))
 
-    result = Td @ moment_block(scheme) @ Td_inv
+    result = resolved(scheme)
     k = indexing.dim(L_max // 2)
     deviation = float(np.max(np.abs(result[:k, :k] - np.eye(k))))
     if check_tol is not None:
-        finer = Td @ moment_block(refine(scheme)) @ Td_inv
+        finer = resolved(refine(scheme))
         shift = float(np.max(np.abs((finer - result)[:k, :k])))
         if shift > check_tol:
             raise ConvergenceError(deviation, shift, check_tol)
@@ -246,6 +244,27 @@ def weight_operator_diag(s: float, n: int) -> float:
         raise ValueError(f"need n >= 0, got {n}")
     ratio = (s + 1) / (s - 1)
     return 2 / (1 - s) * ratio**n
+
+
+def weight_diagonal_table(s: float, n_max: int) -> list[dict]:
+    """Closed form against quadrature of the weight-operator diagonal for
+    n = 0..n_max: per n the closed value, the numeric value, the absolute
+    error and the error relative to max(1, |closed|)."""
+    rows = []
+    for n in range(n_max + 1):
+        closed = weight_operator_diag(s, n)
+        numeric = weight_operator_numeric(s, n)
+        abs_err = abs(numeric - closed)
+        rows.append(
+            {
+                "n": n,
+                "closed_form": closed,
+                "numeric": numeric,
+                "abs_err": abs_err,
+                "rel_err": abs_err / max(1.0, abs(closed)),
+            }
+        )
+    return rows
 
 
 def weight_operator_numeric(s: float, n: int, scheme: PlaneScheme | None = None) -> float:
@@ -274,6 +293,16 @@ def norm_growth_check(norms, r: float, alpha: float) -> bool:
         if math.log(v) > n * math.log(r) + alpha * math.lgamma(n + 1) + 1e-12:
             return False
     return True
+
+
+def norm_growth_certificate(T: BlockDiagOperator, gram: GL2Matrix) -> tuple[np.ndarray, float, bool]:
+    """Norm-growth certificate of the family T e_n: the column norms |T e_n|,
+    read off the blocks, the radius r = sqrt(tr gram), and whether
+    |T e_n| <= r^n for every n.  For T = T(g) pass gram = (dagger g) g; for
+    the dual family (T(g)^dag)^{-1} pass its inverse."""
+    norms = np.concatenate([np.linalg.norm(b, axis=0) for b in T.blocks])
+    r = math.sqrt((gram.g11 + gram.g22).real)
+    return norms, r, norm_growth_check(norms, r, 0.0)
 
 
 def bicoherent_norm_envelope(z_abs: float, r: float, alpha: float) -> float:

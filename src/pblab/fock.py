@@ -135,24 +135,44 @@ class PseudoPair:
 
     def number_operator(self) -> TruncatedOperator:
         """T(g) Bdag B T(g)^{-1}; eigenvectors vec_phi(n) with eigenvalue n."""
-        d = self.a_op.dim
-        num = np.diag(np.arange(d, dtype=float)).astype(complex)
-        mat = self.T.dense() @ num @ self.T_inv.dense()
-        return TruncatedOperator(self.L_max, mat)
+        # T Bdag B scales column n of T by n
+        t_num = self.T.dense() * np.arange(self.a_op.dim)
+        return TruncatedOperator(self.L_max, self.T_inv.apply_right(t_num))
+
+
+def _times_ladder(T: BlockDiagOperator, step: int) -> np.ndarray:
+    """Dense T B (step 1) or T Bdag (step -1) for the flat ladder pair B, Bdag.
+
+    Column n of T B is sqrt(n) T e_{n-1} and column n of T Bdag is
+    sqrt(n+1) T e_{n+1}: each block of T moves ``step`` columns to the
+    right, scaled by the square root of the larger of its old and new
+    column index.
+    """
+    d = T.dim
+    out = np.zeros((d, d), dtype=complex)
+    for L, block in enumerate(T.blocks):
+        rows = indexing.sector_range(L)
+        lo, hi = max(rows.start + step, 0), min(rows.stop + step, d)
+        cols = np.arange(lo, hi)
+        moved = block[:, lo - step - rows.start : hi - step - rows.start]
+        out[rows.start : rows.stop, lo:hi] = moved * np.sqrt(np.maximum(cols, cols - step))
+    return out
 
 
 def pseudo_pair(g: GL2Matrix, L_max: int) -> PseudoPair:
     """Build the deformed pair; ill-conditioned g is rejected since T(g)^{-1}
-    amplifies roundoff like cond(g)^L."""
+    amplifies roundoff like cond(g)^L.
+
+    T B and T Bdag are column shifts of T, so only the right products with
+    the block-diagonal T(g)^{-1} cost arithmetic, O(d sum_L (L+1)^2)."""
     if g.cond() > _COND_LIMIT:
         raise ValueError(f"condition number {g.cond():.2e} exceeds {_COND_LIMIT:.0e}")
-    lower, raiser = ladder(L_max)
+    if L_max < 1:
+        raise ValueError(f"need L_max >= 1, got {L_max}")
     T = rep_full(g, L_max)
     T_inv = T.inv()
-    Td = T.dense()
-    Td_inv = T_inv.dense()
-    a_op = TruncatedOperator(L_max, Td @ lower.mat @ Td_inv)
-    b_op = TruncatedOperator(L_max, Td @ raiser.mat @ Td_inv)
+    a_op = TruncatedOperator(L_max, T_inv.apply_right(_times_ladder(T, 1)))
+    b_op = TruncatedOperator(L_max, T_inv.apply_right(_times_ladder(T, -1)))
     return PseudoPair(g, L_max, a_op, b_op, T, T_inv)
 
 

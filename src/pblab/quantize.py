@@ -155,8 +155,7 @@ def quantize_regularized_oracle(
         angular = weighted.T @ harmonics.conj()  # [m, n] = sum_j s_ij e^{i th_j (m-n)}
         acc += table[i] * angular
     T = rep_full(g, L_max)
-    mat = T.dense() @ acc @ T.inv().dense()
-    return TruncatedOperator(L_max, mat)
+    return TruncatedOperator(L_max, T.apply(T.inv().apply_right(acc)))
 
 
 def oracle_deviation(pair: PseudoPair, kind: str, lam: float, w: WeightSpec) -> float:

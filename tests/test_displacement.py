@@ -13,9 +13,11 @@ from pblab.displacement import (
     covariance_check,
     kernel,
     kernel_reproducing_check,
+    norm_growth_certificate,
     norm_growth_check,
     radial_tail,
     resolution_check,
+    weight_diagonal_table,
     weight_operator_diag,
     weight_operator_numeric,
     wedge,
@@ -231,6 +233,16 @@ class TestWeightOperator:
             numeric = weight_operator_numeric(s, n)
             assert abs(numeric - closed) <= 1e-6 * max(1.0, abs(closed))
 
+    def test_table_rows(self):
+        rows = weight_diagonal_table(0.5, 4)
+        assert [row["n"] for row in rows] == list(range(5))
+        for row in rows:
+            closed = weight_operator_diag(0.5, row["n"])
+            assert row["closed_form"] == closed
+            assert row["numeric"] == weight_operator_numeric(0.5, row["n"])
+            assert row["abs_err"] == abs(row["numeric"] - closed)
+            assert row["rel_err"] == row["abs_err"] / max(1.0, abs(closed))
+
     def test_divergent_s_rejected(self):
         with pytest.raises(ValueError):
             weight_operator_diag(1.0, 0)
@@ -249,6 +261,15 @@ class TestNormGrowth:
         Td = rep_full(SHEAR, 13).dense()
         norms = np.linalg.norm(Td, axis=0)
         assert norm_growth_check(norms, math.sqrt(3.0), 0.0)
+
+    def test_certificate_reads_column_norms_from_blocks(self):
+        g = random_gl2(np.random.default_rng(13))
+        T = rep_full(g, 10)
+        for op, gram in ((T, g.gram()), (T.inv().dagger(), g.gram().inv())):
+            norms, r, ok = norm_growth_certificate(op, gram)
+            assert np.allclose(norms, np.linalg.norm(op.dense(), axis=0), rtol=1e-15, atol=0)
+            assert r == pytest.approx(math.sqrt((gram.g11 + gram.g22).real), rel=1e-15)
+            assert ok == norm_growth_check(norms, r, 0.0)
 
     def test_violation_detected(self):
         norms = np.ones(10)

@@ -18,9 +18,12 @@ from pblab.fock import (
     save_operator,
     two_mode,
 )
-from pblab.gl2 import GL2Matrix, random_gl2, rep_diag
+from pblab.gl2 import GL2Matrix, random_gl2, rep_diag, rep_full
 from pblab.hermite import hermite_coeffs, inner
 from pblab.deformed import deformed_coeffs
+from pblab.displacement import coherent_coefficients, resolution_check
+from pblab.quadrature import polar_scheme
+from pblab.quantize import quantize_regularized_oracle, unit_weight
 
 SHEAR = GL2Matrix(1, 1, 0, 1)
 L12 = 12
@@ -189,6 +192,54 @@ class TestPseudoPair:
     def test_ill_conditioned_rejected(self):
         with pytest.raises(ValueError):
             pseudo_pair(GL2Matrix(1e5, 0, 0, 1e-5), 4)
+
+
+def dense_conjugation(g, L_max, x):
+    """Dense-product oracle for T(g) x T(g)^{-1}."""
+    T = rep_full(g, L_max)
+    return T.dense() @ x @ T.inv().dense()
+
+
+def rel_dev(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+CONJUGATION_MATRICES = [SHEAR, GL2Matrix.diagonal(2, 1)] + [
+    random_gl2(np.random.default_rng(12), 0.7, 1.6) for _ in range(2)
+]
+
+
+class TestBlockwiseConjugation:
+    """The blockwise T X T^{-1} routes against dense d x d products."""
+
+    @pytest.mark.parametrize("L_max", [1, 2, 5, 12])
+    def test_pseudo_pair_and_number_operator(self, L_max):
+        lower, raiser = ladder(L_max)
+        number = np.diag(np.arange(indexing.dim(L_max), dtype=float))
+        for g in CONJUGATION_MATRICES:
+            pair = pseudo_pair(g, L_max)
+            for got, x in ((pair.a_op, lower.mat), (pair.b_op, raiser.mat), (pair.number_operator(), number)):
+                assert rel_dev(got.mat, dense_conjugation(g, L_max, x)) <= 1e-12
+
+    def test_resolution_check(self):
+        # a coarse scheme leaves a quadrature deviation far above roundoff,
+        # so both routes report the same real number
+        L_max, scheme = 8, polar_scheme(6, 6)
+        d, k = indexing.dim(L_max), indexing.dim(L_max // 2)
+        V = np.array([coherent_coefficients(z, d) for z in scheme.nodes]).T
+        moments = (V * scheme.weights) @ V.conj().T
+        for g in CONJUGATION_MATRICES:
+            ref = np.max(np.abs(dense_conjugation(g, L_max, moments)[:k, :k] - np.eye(k)))
+            assert ref > 1e-3
+            assert resolution_check(g, L_max, scheme=scheme) == pytest.approx(ref, rel=1e-12)
+
+    def test_quantize_oracle(self):
+        # at g = I the oracle is the unconjugated quadrature sum
+        L_max, lam, w = 6, 0.01, unit_weight()
+        flat = quantize_regularized_oracle("z", lam, w, GL2Matrix.identity(), L_max).mat
+        for g in CONJUGATION_MATRICES:
+            got = quantize_regularized_oracle("z", lam, w, g, L_max).mat
+            assert rel_dev(got, dense_conjugation(g, L_max, flat)) <= 1e-12
 
 
 class TestCuntz:

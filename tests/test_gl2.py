@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from pblab.gl2 import (
     rep_diag_log,
     rep_diag_qsum,
     rep_full,
+    star_deviation,
 )
 from pblab.special import hyp2f1_terminating, log_binomial
 
@@ -58,6 +60,51 @@ class TestDual:
             assert np.allclose(dual(dual(g)).as_array(), g.as_array(), atol=1e-13)
 
 
+def rep_block_loop(g, L):
+    """Reference route: the binomial q-sum entry by entry, in double precision."""
+    p11 = [g.g11**q for q in range(L + 1)]
+    p12 = [g.g12**q for q in range(L + 1)]
+    p21 = [g.g21**q for q in range(L + 1)]
+    p22 = [g.g22**q for q in range(L + 1)]
+    half_log_norm = [0.5 * (math.lgamma(m + 1) + math.lgamma(L - m + 1)) for m in range(L + 1)]
+    out = np.empty((L + 1, L + 1), dtype=complex)
+    for mp in range(L + 1):
+        for m in range(L + 1):
+            acc = 0.0 + 0.0j
+            for q in range(max(0, mp + m - L), min(mp, m) + 1):
+                acc += (
+                    math.comb(m, q)
+                    * math.comb(L - m, mp - q)
+                    * p11[q]
+                    * p21[m - q]
+                    * p12[mp - q]
+                    * p22[L - m + q - mp]
+                )
+            out[mp, m] = acc * math.exp(half_log_norm[mp] - half_log_norm[m])
+    return out
+
+
+def rep_block_mpmath(g, L, dps=50):
+    """The q-sum at ``dps`` digits, each term factored as
+    (C(m, q) g11^q g21^(m-q)) (C(L-m, m'-q) g12^(m'-q) g22^(L-m-m'+q))."""
+    with mpmath.workdps(dps):
+        a11, a12, a21, a22 = (mpmath.mpc(complex(x)) for x in (g.g11, g.g12, g.g21, g.g22))
+        first = [[math.comb(m, q) * a11**q * a21 ** (m - q) for q in range(m + 1)] for m in range(L + 1)]
+        second = [[math.comb(j, i) * a12**i * a22 ** (j - i) for i in range(j + 1)] for j in range(L + 1)]
+        fact = [mpmath.factorial(m) * mpmath.factorial(L - m) for m in range(L + 1)]
+        out = np.empty((L + 1, L + 1), dtype=complex)
+        for mp in range(L + 1):
+            for m in range(L + 1):
+                qs = range(max(0, mp + m - L), min(mp, m) + 1)
+                acc = mpmath.fdot((first[m][q], second[L - m][mp - q]) for q in qs)
+                out[mp, m] = complex(acc * mpmath.sqrt(fact[mp] / fact[m]))
+    return out
+
+
+_REF_RNG = np.random.default_rng(2024)
+REFERENCE_DRAWS = [GL2Matrix(1, 1, 0, 1)] + [random_gl2(_REF_RNG) for _ in range(3)]
+
+
 class TestRepBlock:
     def test_L0_is_scalar_one(self):
         assert np.allclose(rep_block(GL2Matrix(0.5, 2j, 1, 3), 0), [[1.0]])
@@ -78,6 +125,37 @@ class TestRepBlock:
         col = rep_block(g, 2)[:, 2]
         expect = np.array([g.g21**2, math.sqrt(2) * g.g11 * g.g21, g.g11**2])
         assert np.allclose(col, expect, atol=1e-14)
+
+    def test_matches_loop_route_on_small_blocks(self):
+        rng = np.random.default_rng(9)
+        matrices = [GL2Matrix(1, 1, 0, 1), GL2Matrix(2, 0, 0, 3), GL2Matrix(0, 1, 1, 0)]
+        matrices += [random_gl2(rng) for _ in range(5)]
+        for g in matrices:
+            for L in range(13):
+                ref = rep_block_loop(g, L)
+                dev = np.max(np.abs(rep_block(g, L) - ref)) / np.max(np.abs(ref))
+                assert dev <= 1e-12, (g, L)
+
+    @pytest.mark.parametrize("L", [40, 60])
+    @pytest.mark.parametrize("g", REFERENCE_DRAWS, ids=["shear", "random0", "random1", "random2"])
+    def test_no_worse_than_loop_against_50_digit_reference(self, g, L):
+        # near-unitary draws cancel by up to ~1e-9 relative in the q-sum at
+        # L = 60, so the bound is relative to the loop route's own error
+        ref = rep_block_mpmath(g, L)
+        scale = np.max(np.abs(ref))
+        err_loop = np.max(np.abs(rep_block_loop(g, L) - ref)) / scale
+        err = np.max(np.abs(rep_block(g, L) - ref)) / scale
+        assert err <= 2 * max(err_loop, np.finfo(float).eps)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision"
+    )
+    def test_star_law_at_L60_for_near_unitary_draws(self):
+        # in double precision the q-sum of about a third of these draws
+        # cancels past the 1e-10 bound of the benchmark's star-law check
+        rng = np.random.default_rng(31)
+        for _ in range(16):
+            assert star_deviation(random_gl2(rng, 0.8, 1.3), 60) <= 1e-10
 
     def test_homomorphism_random_pairs(self):
         rng = np.random.default_rng(0)
@@ -198,6 +276,14 @@ class TestRepFull:
         vec = rng.normal(size=full.dim) + 1j * rng.normal(size=full.dim)
         assert np.allclose(full.inv().apply(full.apply(vec)), vec, atol=1e-10)
         assert np.allclose(full.apply(vec), full.dense() @ vec, atol=1e-12)
+
+    def test_apply_on_matrices_matches_dense_products(self):
+        rng = np.random.default_rng(10)
+        full = rep_full(random_gl2(rng), 6)
+        x = rng.normal(size=(full.dim, full.dim)) + 1j * rng.normal(size=(full.dim, full.dim))
+        dense = full.dense()
+        for got, ref in ((full.apply(x), dense @ x), (full.apply_right(x), x @ dense)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_block_shapes_validated(self):
         with pytest.raises(ValueError):
