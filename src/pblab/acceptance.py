@@ -16,9 +16,10 @@ import numpy as np
 from . import indexing
 from .asymptotics import laplace_root, ratio_row
 from .deformed import (
+    NORM_BOUND_LOG_SLACK,
     deformed_coeffs,
     deformed_via_rep,
-    norm_bounds,
+    norm_bound_violation,
     norm_identity_deviation,
     riesz_growth,
 )
@@ -41,7 +42,7 @@ from .fock import (
     pseudo_pair,
     safe_part,
 )
-from .gl2 import GL2Matrix, homomorphism_deviation, inverse_deviation, random_gl2, rep_block, rep_diag_log, star_deviation
+from .gl2 import GL2Matrix, homomorphism_deviation, inverse_deviation, random_gl2, rep_block, star_deviation
 from .hermite import (
     hermite_terms_exact,
     hermite_via_contraction,
@@ -165,23 +166,11 @@ def criterion_04_norm_identity_and_bounds() -> CriterionResult:
     rng = np.random.default_rng(2)
     matrices = [SHEAR, GL2Matrix.diagonal(2, 1)] + [random_gl2(rng) for _ in range(20)]
     worst_rel = _worst(*(norm_identity_deviation(g, (2, 7, 12)) for g in matrices))
-    sandwich_ok = True
-    worst_violation = 0.0
-    for g in matrices[:8]:
-        gram = g.gram()
-        gram_inv = gram.inv()
-        for L in (10, 24, 40):
-            for n1 in range(4, L - 3):
-                nb = norm_bounds(g, n1, L - n1)
-                val = rep_diag_log(gram, n1, L - n1)
-                dval = rep_diag_log(gram_inv, n1, L - n1)
-                viol = _worst(
-                    nb.log_lower - val, val - nb.log_upper,
-                    nb.log_lower_dual - dval, dval - nb.log_upper_dual,
-                )
-                worst_violation = _worst(worst_violation, viol)
-                sandwich_ok = sandwich_ok and viol <= 1e-10
-    passed = worst_rel <= tol and sandwich_ok
+    worst_violation = _worst(0.0, *(
+        norm_bound_violation(g, n1, L - n1)
+        for g in matrices[:8] for L in (10, 24, 40) for n1 in range(4, L - 3)
+    ))
+    passed = worst_rel <= tol and worst_violation <= NORM_BOUND_LOG_SLACK
     return CriterionResult(
         4,
         "norm identity (1e-10 rel, L <= 12) + bound sandwich (log, L <= 40)",
@@ -239,8 +228,10 @@ def criterion_07_operator_algebra() -> CriterionResult:
     flat_ccr = safe_part(commutator(B.mat, Bd.mat), L_max) - np.eye(indexing.safe_dim(L_max))
     worst = _worst(float(np.max(np.abs(flat_ccr))), ccr_deviation(L_max), cuntz_deviation(L_max))
 
-    # T(g)^{-1} amplifies roundoff like cond(g)^L, so the random draws cap
-    # the condition number near 1.6 to keep the 1e-8 budget at L_max = 12
+    # T(g)^{-1} = T(g^{-1}) is exact, but the products T B T^{-1} cancel
+    # down to about eps |T| |T^{-1}|, which grows like cond(g)^L; the random
+    # draws cap the condition number near 1.6 to keep the 1e-8 budget at
+    # L_max = 12 (the shear, cond 2.6, reads about 3.4e-9)
     rng = np.random.default_rng(3)
     matrices = [SHEAR, GL2Matrix.diagonal(2, 1)] + [random_gl2(rng, 0.8, 1.3) for _ in range(10)]
     for g in matrices:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .gl2 import GL2Matrix, _positive_parts, rep_diag_log
-from .special import LogValue, log_binomial
+from .special import LogValue
 
 
 def asympt_fixed_d(h: GL2Matrix, n1: int, d: int) -> LogValue:
@@ -117,27 +117,6 @@ def asympt_laplace(h: GL2Matrix, n1: int, nu: float) -> LogValue:
         - n2 * math.log1p(-xi / nu)
     )
     return LogValue.from_log(log_val)
-
-
-def stirling_r1_log(h11: float, h22: float, n1: int, n2: int) -> float:
-    """ln of the r = 1 large-n behavior
-    sqrt((n1+n2)/(2 pi n1 n2)) (n1+n2)^{n1+n2} n1^{-n1} n2^{-n2} h11^{n1} h22^{n2}."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError("Stirling form needs n1, n2 >= 1")
-    L = n1 + n2
-    return (
-        0.5 * math.log(L / (2 * math.pi * n1 * n2))
-        + L * math.log(L)
-        - n1 * math.log(n1)
-        - n2 * math.log(n2)
-        + n1 * math.log(h11)
-        + n2 * math.log(h22)
-    )
-
-
-def binomial_diag_log(h11: float, h22: float, n1: int, n2: int) -> float:
-    """ln of the exact r = 1 diagonal h11^{n1} h22^{n2} C(n1+n2, n1)."""
-    return n1 * math.log(h11) + n2 * math.log(h22) + log_binomial(n1 + n2, n1)
 
 
 def ratio_row(h: GL2Matrix, n1: int, *, d: int | None = None, nu: float | None = None) -> dict:

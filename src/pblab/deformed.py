@@ -184,6 +184,20 @@ def norm_bounds(g: GL2Matrix, n1: int, n2: int) -> NormBounds:
     )
 
 
+# roundoff allowance of the log-domain sums when a sandwich is tested
+NORM_BOUND_LOG_SLACK = 1e-10
+
+
+def norm_bound_violation(g: GL2Matrix, n1: int, n2: int) -> float:
+    """Worst log-domain violation (lower - value or value - upper) of the
+    bound sandwich at (n1, n2) over the deformed and the dual family; both
+    hold when it is <= NORM_BOUND_LOG_SLACK, and a NaN term gives NaN."""
+    nb = norm_bounds(g, n1, n2)
+    val, dval = rep_diag_log(g.gram(), n1, n2), rep_diag_log(g.gram().inv(), n1, n2)
+    terms = [nb.log_lower - val, val - nb.log_upper, nb.log_lower_dual - dval, dval - nb.log_upper_dual]
+    return float(np.max(terms))
+
+
 def riesz_growth(g: GL2Matrix, L_list) -> list[dict]:
     """Norm-product growth table along the sector diagonal n1 = floor(L/2).
 

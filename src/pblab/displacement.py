@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre, eval_laguerre, gammaincc, gammaln
 
 from . import indexing
-from .gl2 import BlockDiagOperator, GL2Matrix, rep_full
+from .gl2 import BlockDiagOperator, GL2Matrix, dual, rep_full
 from .quadrature import ConvergenceError, PlaneScheme, integrate, polar_scheme, refine
 
 
@@ -130,7 +130,7 @@ def bicoherent(z: complex, g: GL2Matrix, L_max: int, eps: float) -> BiCoherentPa
     z = complex(z)
     d = indexing.dim(L_max)
     T = rep_full(g, L_max)
-    T_tilde = T.inv().dagger()
+    T_tilde = rep_full(dual(g), L_max)
     gram = g.gram()
     norms_phi, r_env, ok_phi = norm_growth_certificate(T, gram)
     norms_psi, r_env_dual, ok_psi = norm_growth_certificate(T_tilde, gram.inv())
@@ -171,7 +171,7 @@ def covariance_check(z: complex, zp: complex, g: GL2Matrix, L_max: int, check_L:
     """
     d = indexing.dim(L_max)
     T = rep_full(g, L_max)
-    T_tilde = T.inv().dagger()
+    T_tilde = rep_full(dual(g), L_max)
     dcan_z = canonical_displacement(z, d)
     phase = math.e ** (-1j * wedge(z, zp))
     k = indexing.dim(check_L) if check_L is not None else indexing.safe_dim(L_max)
@@ -207,7 +207,7 @@ def resolution_check(
         scheme = polar_scheme(64, 64)
     d = indexing.dim(L_max)
     T = rep_full(g, L_max)
-    T_inv = T.inv()
+    T_inv = rep_full(g.inv(), L_max)
 
     def resolved(sch: PlaneScheme) -> np.ndarray:
         nodes = sch.nodes

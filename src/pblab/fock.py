@@ -160,8 +160,9 @@ def _times_ladder(T: BlockDiagOperator, step: int) -> np.ndarray:
 
 
 def pseudo_pair(g: GL2Matrix, L_max: int) -> PseudoPair:
-    """Build the deformed pair; ill-conditioned g is rejected since T(g)^{-1}
-    amplifies roundoff like cond(g)^L.
+    """Build the deformed pair with T(g)^{-1} = T(g^{-1}); ill-conditioned g
+    is rejected since the products T B T^{-1} cancel down to about
+    eps |T| |T^{-1}|, which grows like cond(g)^L.
 
     T B and T Bdag are column shifts of T, so only the right products with
     the block-diagonal T(g)^{-1} cost arithmetic, O(d sum_L (L+1)^2)."""
@@ -170,7 +171,7 @@ def pseudo_pair(g: GL2Matrix, L_max: int) -> PseudoPair:
     if L_max < 1:
         raise ValueError(f"need L_max >= 1, got {L_max}")
     T = rep_full(g, L_max)
-    T_inv = T.inv()
+    T_inv = rep_full(g.inv(), L_max)
     a_op = TruncatedOperator(L_max, T_inv.apply_right(_times_ladder(T, 1)))
     b_op = TruncatedOperator(L_max, T_inv.apply_right(_times_ladder(T, -1)))
     return PseudoPair(g, L_max, a_op, b_op, T, T_inv)
@@ -195,25 +196,12 @@ def cuntz_domain_dim(n: int, L_max: int) -> int:
 
 def metric_operators(g: GL2Matrix, L_max: int) -> tuple[TruncatedOperator, TruncatedOperator]:
     """Gram-type metric pair: S_phi = T(g) T(g)^dag = T(g gdag) and its
-    blockwise inverse S_psi; both positive-definite Hermitian with
-    S_phi S_psi = I block by block."""
-    T = rep_full(g, L_max)
-    phi_blocks = tuple(b @ b.conj().T for b in T.blocks)
-
-    def inverse_gram(b):
-        # S_psi block = (b b^dag)^{-1} = z^dag z with z = b^{-1}: inverting b
-        # (condition cond(g)^L) instead of its Gram (condition squared) and
-        # forming the product keeps the result Hermitian positive exactly
-        z = np.linalg.inv(b)
-        z = z @ (2 * np.eye(b.shape[0]) - b @ z)  # one Newton polish
-        return z.conj().T @ z
-
-    psi_blocks = tuple(inverse_gram(b) for b in T.blocks)
-    s_phi = BlockDiagOperator(L_max, phi_blocks)
-    s_psi = BlockDiagOperator(L_max, psi_blocks)
+    inverse S_psi = T((g gdag)^{-1}), both from the group law; positive-definite
+    Hermitian with S_phi S_psi = I block by block."""
+    h = g @ g.dagger()
     return (
-        TruncatedOperator(L_max, s_phi.dense()),
-        TruncatedOperator(L_max, s_psi.dense()),
+        TruncatedOperator(L_max, rep_full(h, L_max).dense()),
+        TruncatedOperator(L_max, rep_full(h.inv(), L_max).dense()),
     )
 
 

@@ -179,23 +179,6 @@ def star_deviation(g: GL2Matrix, L: int) -> float:
     return float(np.max(np.abs(rep_block(g.dagger(), L) - tg.conj().T))) / scale
 
 
-def rep_diag_qsum(h: GL2Matrix, n1: int, n2: int) -> complex:
-    """Diagonal element at (n1, n2) by direct q-sum (reference route)."""
-    if n1 < 0 or n2 < 0:
-        raise ValueError(f"indices must be non-negative, got ({n1}, {n2})")
-    off = h.g12 * h.g21
-    acc = 0.0 + 0.0j
-    for q in range(max(0, n1 - n2), n1 + 1):
-        acc += (
-            math.comb(n1, q)
-            * math.comb(n2, n1 - q)
-            * h.g11**q
-            * off ** (n1 - q)
-            * h.g22 ** (n2 - n1 + q)
-        )
-    return complex(acc)
-
-
 def rep_diag(h: GL2Matrix, n1: int, n2: int, require_positive: bool = False) -> complex:
     """Diagonal element at (n1, n2) via the Jacobi-polynomial closed form.
 
@@ -264,7 +247,8 @@ class BlockDiagOperator:
     """Direct sum of representation blocks over sectors L = 0..L_max.
 
     Block boundaries coincide with the flat-index sector ranges, so the dense
-    form acts on truncated Fock coefficient vectors.
+    form acts on truncated Fock coefficient vectors.  Inverses and duals come
+    from the group law: T(g)^{-1} = T(g^{-1}), (T(g)^dag)^{-1} = T(dual(g)).
     """
 
     L_max: int
@@ -288,9 +272,6 @@ class BlockDiagOperator:
             out[sl, sl] = block
         return out
 
-    def inv(self) -> "BlockDiagOperator":
-        return BlockDiagOperator(self.L_max, tuple(np.linalg.inv(b) for b in self.blocks))
-
     def dagger(self) -> "BlockDiagOperator":
         return BlockDiagOperator(self.L_max, tuple(b.conj().T for b in self.blocks))
 
@@ -313,8 +294,9 @@ class BlockDiagOperator:
     def apply_right(self, x: np.ndarray) -> np.ndarray:
         """x T, block by block, for a matrix whose columns are flat indices.
 
-        With ``apply`` this gives T X T^{-1} as ``T.apply(T_inv.apply_right(X))``
-        at O(d sum_L (L+1)^2) instead of the O(d^3) of dense products.
+        With ``apply`` and T_inv = rep_full(g.inv(), L_max) this gives
+        T X T^{-1} as ``T.apply(T_inv.apply_right(X))`` at
+        O(d sum_L (L+1)^2) instead of the O(d^3) of dense products.
         """
         out = np.empty(x.shape, dtype=complex)
         for L, block in enumerate(self.blocks):

@@ -18,7 +18,6 @@ products, making the orthonormality defect exactly zero in exact arithmetic.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
@@ -244,18 +243,6 @@ def hermite_terms_exact(n1: int, n2: int) -> dict[tuple[int, int], int]:
         (n1 - k, n2 - k): (-1) ** k * math.factorial(k) * math.comb(n1, k) * math.comb(n2, k)
         for k in range(min(n1, n2) + 1)
     }
-
-
-def exp_contraction_exact(terms: dict[tuple[int, int], Fraction]) -> dict[tuple[int, int], Fraction]:
-    """Exact-rational contraction transform on a sparse term map."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for (j, k), c in terms.items():
-        for t in range(min(j, k) + 1):
-            w = Fraction((-1) ** t * math.factorial(j) * math.factorial(k),
-                         math.factorial(t) * math.factorial(j - t) * math.factorial(k - t))
-            key = (j - t, k - t)
-            out[key] = out.get(key, Fraction(0)) + w * c
-    return {key: c for key, c in out.items() if c != 0}
 
 
 def inner_exact(p: dict[tuple[int, int], int], q: dict[tuple[int, int], int]):

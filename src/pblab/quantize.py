@@ -155,7 +155,8 @@ def quantize_regularized_oracle(
         angular = weighted.T @ harmonics.conj()  # [m, n] = sum_j s_ij e^{i th_j (m-n)}
         acc += table[i] * angular
     T = rep_full(g, L_max)
-    return TruncatedOperator(L_max, T.apply(T.inv().apply_right(acc)))
+    T_inv = rep_full(g.inv(), L_max)
+    return TruncatedOperator(L_max, T.apply(T_inv.apply_right(acc)))
 
 
 def oracle_deviation(pair: PseudoPair, kind: str, lam: float, w: WeightSpec) -> float:

@@ -1,9 +1,8 @@
-"""Special functions: Jacobi and generalized Laguerre polynomials as finite
-sums, terminating Gauss hypergeometric series, and log-domain utilities.
+"""Special functions: Jacobi polynomials as finite sums, generalized
+binomials, and log-domain utilities.
 
 Every polynomial here is evaluated from its explicit finite sum (no
-recurrences, no analytic continuation); the sums terminate because the
-leading hypergeometric parameter is a negative integer.  Log-domain helpers
+recurrences, no analytic continuation).  Log-domain helpers
 carry a sign so that quantities far beyond double-precision range (binomials
 like C(400, 200), factorials of 10^6) can still be combined and compared.
 """
@@ -101,29 +100,6 @@ class LogValue:
         return LogValue(self.log_magnitude + log_factor, self.sign)
 
 
-def hyp2f1_terminating(n: int, b: float, c: float, x: float):
-    """Terminating Gauss series 2F1(-n, b; c; x) = sum_{k<=n} ((-n)_k (b)_k / (c)_k) x^k / k!.
-
-    The first parameter is the negative integer -n, so the sum has n + 1
-    terms.  Raises if a Pochhammer factor (c)_k vanishes inside the range.
-    """
-    if n < 0:
-        raise ValueError(f"series order must be non-negative, got {n}")
-    total = x * 0
-    term = x * 0 + 1
-    for k in range(n + 1):
-        total = total + term
-        if k == n:
-            break
-        c_k = c + k
-        if c_k == 0:
-            raise ValueError(
-                f"Pochhammer denominator (c)_k vanishes at k = {k + 1} for c = {c}"
-            )
-        term = term * (-(n - k)) * (b + k) / (c_k * (k + 1)) * x
-    return total
-
-
 def jacobi_sum(n: int, alpha: float, beta: float, x):
     """Jacobi polynomial P_n^(alpha, beta)(x) by its binomial double product:
 
@@ -144,37 +120,8 @@ def jacobi_sum(n: int, alpha: float, beta: float, x):
     return total
 
 
-def jacobi_hyp(n: int, alpha: float, beta: float, x):
-    """Jacobi polynomial via C(n+alpha, n) 2F1(-n, n+alpha+beta+1; alpha+1; (1-x)/2)."""
-    return binomial_real(n + alpha, n) * hyp2f1_terminating(
-        n, n + alpha + beta + 1, alpha + 1, (1 - x) / 2
-    )
-
-
 def jacobi(n: int, alpha: float, beta: float, x):
-    """Jacobi polynomial P_n^(alpha, beta)(x); the binomial sum is canonical
-    here and the hypergeometric form is kept as an independent cross-check.
+    """Jacobi polynomial P_n^(alpha, beta)(x) by the binomial sum; the tests
+    cross-check it against the terminating hypergeometric form.
     """
     return jacobi_sum(n, alpha, beta, x)
-
-
-def laguerre(n: int, mu: int, x):
-    """Generalized Laguerre polynomial L_n^(mu)(x) by its finite sum
-
-        sum_{k<=n} (-1)^k Gamma(n+mu+1) / (Gamma(mu+k+1) (n-k)!) x^k / k!.
-
-    mu may be a negative integer as long as n + mu >= 0; terms whose
-    Gamma(mu+k+1) sits at a pole vanish (reciprocal-gamma convention).
-    """
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    if n + mu < 0:
-        raise ValueError(f"need n + mu >= 0, got n = {n}, mu = {mu}")
-    total = x * 0
-    log_top = log_factorial(n + mu)
-    for k in range(n + 1):
-        if mu + k < 0:
-            continue  # 1/Gamma at a pole
-        coeff = math.exp(log_top - log_factorial(mu + k) - log_factorial(n - k) - log_factorial(k))
-        total += (-1) ** k * coeff * x**k
-    return total

@@ -7,12 +7,12 @@ from pblab.asymptotics import (
     LaplaceData,
     asympt_fixed_d,
     asympt_laplace,
-    binomial_diag_log,
     laplace_root,
     ratio_row,
-    stirling_r1_log,
 )
 from pblab.gl2 import GL2Matrix, diag_log_from_parts, rep_diag_log
+
+from oracles import binomial_diag_log, stirling_r1_log
 
 H_HALF = GL2Matrix(2, 1, 1, 1)  # r = 1/2
 

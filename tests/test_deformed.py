@@ -11,6 +11,7 @@ from pblab.deformed import (
     deformed_via_rep,
     dual_coeffs,
     dual_norm_sq,
+    norm_bound_violation,
     norm_bounds,
     norm_sq,
     norm_sq_inner,
@@ -151,6 +152,16 @@ class TestNormBounds:
         assert nb.lower_dual == pytest.approx(2 / math.sqrt(math.pi), rel=1e-12)
         assert nb.upper_dual == pytest.approx(4.0, rel=1e-12)
         assert nb.lower_dual <= val <= nb.upper_dual
+
+    def test_bound_violation_is_worst_log_gap_of_both_families(self):
+        # the linear-domain closed forms as an independent route
+        rng = np.random.default_rng(5)
+        for g in (SHEAR, GL2Matrix.diagonal(2, 1), random_gl2(rng)):
+            for n1, n2 in ((1, 1), (3, 5), (6, 2)):
+                nb = norm_bounds(g, n1, n2)
+                val, dval = math.log(norm_sq(g, n1, n2)), math.log(dual_norm_sq(g, n1, n2))
+                gaps = (nb.log_lower - val, val - nb.log_upper, nb.log_lower_dual - dval, dval - nb.log_upper_dual)
+                assert norm_bound_violation(g, n1, n2) == pytest.approx(max(gaps), abs=1e-12)
 
     def test_sandwich_log_domain_large_L(self):
         from pblab.gl2 import rep_diag_log

@@ -18,12 +18,14 @@ from pblab.fock import (
     save_operator,
     two_mode,
 )
-from pblab.gl2 import GL2Matrix, random_gl2, rep_diag, rep_full
+from pblab.gl2 import GL2Matrix, random_gl2, rep_block, rep_diag, rep_full
 from pblab.hermite import hermite_coeffs, inner
 from pblab.deformed import deformed_coeffs
 from pblab.displacement import coherent_coefficients, resolution_check
 from pblab.quadrature import polar_scheme
 from pblab.quantize import quantize_regularized_oracle, unit_weight
+
+from oracles import qsum_magnitude, rep_block_mpmath
 
 SHEAR = GL2Matrix(1, 1, 0, 1)
 L12 = 12
@@ -197,7 +199,7 @@ class TestPseudoPair:
 def dense_conjugation(g, L_max, x):
     """Dense-product oracle for T(g) x T(g)^{-1}."""
     T = rep_full(g, L_max)
-    return T.dense() @ x @ T.inv().dense()
+    return T.dense() @ x @ np.linalg.inv(T.dense())
 
 
 def rel_dev(got, ref):
@@ -240,6 +242,30 @@ class TestBlockwiseConjugation:
         for g in CONJUGATION_MATRICES:
             got = quantize_regularized_oracle("z", lam, w, g, L_max).mat
             assert rel_dev(got, dense_conjugation(g, L_max, flat)) <= 1e-12
+
+
+_GROUP_LAW_RNG = np.random.default_rng(40)
+GROUP_LAW_MATRICES = [SHEAR] + [random_gl2(_GROUP_LAW_RNG, 0.8, 1.3) for _ in range(3)]
+
+
+class TestGroupLawInverse:
+    """T(g)^{-1} = T(g^{-1}) against a 50-digit q-sum of T(g^{-1}).  A numeric
+    inverse of the shear block is off by about 2e-3 at L = 40 and by order
+    one at L = 60; the group law stays at roundoff."""
+
+    @pytest.mark.parametrize(
+        "g", GROUP_LAW_MATRICES, ids=["shear", "random0", "random1", "random2"]
+    )
+    def test_inverse_blocks_match_50_digit_reference(self, g):
+        # near-scalar-unitary draws make the q-sum cancel by up to ~1e8 at
+        # L = 60; the extended-precision accumulation then rounds to about
+        # 0.5 eps_long times the modulus sum, which the bound allows 4x of
+        eps_long = np.finfo(np.longdouble).eps
+        blocks = ((40, pseudo_pair(g, 40).T_inv.blocks[40]), (60, rep_block(g.inv(), 60)))
+        for L, got in blocks:
+            ref = rep_block_mpmath(g.inv(), L)
+            floor = 4 * eps_long * np.max(qsum_magnitude(g.inv(), L))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)) + floor, L
 
 
 class TestCuntz:

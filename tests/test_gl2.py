@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -12,11 +11,12 @@ from pblab.gl2 import (
     rep_block,
     rep_diag,
     rep_diag_log,
-    rep_diag_qsum,
     rep_full,
     star_deviation,
 )
-from pblab.special import hyp2f1_terminating, log_binomial
+from pblab.special import log_binomial
+
+from oracles import hyp2f1_terminating, rep_block_loop, rep_block_mpmath, rep_diag_qsum
 
 
 class TestGL2Matrix:
@@ -58,47 +58,6 @@ class TestDual:
         for _ in range(10):
             g = random_gl2(rng)
             assert np.allclose(dual(dual(g)).as_array(), g.as_array(), atol=1e-13)
-
-
-def rep_block_loop(g, L):
-    """Reference route: the binomial q-sum entry by entry, in double precision."""
-    p11 = [g.g11**q for q in range(L + 1)]
-    p12 = [g.g12**q for q in range(L + 1)]
-    p21 = [g.g21**q for q in range(L + 1)]
-    p22 = [g.g22**q for q in range(L + 1)]
-    half_log_norm = [0.5 * (math.lgamma(m + 1) + math.lgamma(L - m + 1)) for m in range(L + 1)]
-    out = np.empty((L + 1, L + 1), dtype=complex)
-    for mp in range(L + 1):
-        for m in range(L + 1):
-            acc = 0.0 + 0.0j
-            for q in range(max(0, mp + m - L), min(mp, m) + 1):
-                acc += (
-                    math.comb(m, q)
-                    * math.comb(L - m, mp - q)
-                    * p11[q]
-                    * p21[m - q]
-                    * p12[mp - q]
-                    * p22[L - m + q - mp]
-                )
-            out[mp, m] = acc * math.exp(half_log_norm[mp] - half_log_norm[m])
-    return out
-
-
-def rep_block_mpmath(g, L, dps=50):
-    """The q-sum at ``dps`` digits, each term factored as
-    (C(m, q) g11^q g21^(m-q)) (C(L-m, m'-q) g12^(m'-q) g22^(L-m-m'+q))."""
-    with mpmath.workdps(dps):
-        a11, a12, a21, a22 = (mpmath.mpc(complex(x)) for x in (g.g11, g.g12, g.g21, g.g22))
-        first = [[math.comb(m, q) * a11**q * a21 ** (m - q) for q in range(m + 1)] for m in range(L + 1)]
-        second = [[math.comb(j, i) * a12**i * a22 ** (j - i) for i in range(j + 1)] for j in range(L + 1)]
-        fact = [mpmath.factorial(m) * mpmath.factorial(L - m) for m in range(L + 1)]
-        out = np.empty((L + 1, L + 1), dtype=complex)
-        for mp in range(L + 1):
-            for m in range(L + 1):
-                qs = range(max(0, mp + m - L), min(mp, m) + 1)
-                acc = mpmath.fdot((first[m][q], second[L - m][mp - q]) for q in qs)
-                out[mp, m] = complex(acc * mpmath.sqrt(fact[mp] / fact[m]))
-    return out
 
 
 _REF_RNG = np.random.default_rng(2024)
@@ -274,7 +233,7 @@ class TestRepFull:
         g = random_gl2(rng)
         full = rep_full(g, 5)
         vec = rng.normal(size=full.dim) + 1j * rng.normal(size=full.dim)
-        assert np.allclose(full.inv().apply(full.apply(vec)), vec, atol=1e-10)
+        assert np.allclose(rep_full(g.inv(), 5).apply(full.apply(vec)), vec, atol=1e-10)
         assert np.allclose(full.apply(vec), full.dense() @ vec, atol=1e-12)
 
     def test_apply_on_matrices_matches_dense_products(self):

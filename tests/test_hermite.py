@@ -8,7 +8,6 @@ import pytest
 from pblab.hermite import (
     PolyCoeffs,
     exp_contraction,
-    exp_contraction_exact,
     hermite_coeffs,
     hermite_terms_exact,
     hermite_via_contraction,
@@ -17,6 +16,8 @@ from pblab.hermite import (
     monomial_basis,
     norm_sq,
 )
+
+from oracles import exp_contraction_exact
 
 
 def modes_up_to_degree(max_L):

@@ -137,7 +137,7 @@ class TestRegularizedOracle:
         from pblab.gl2 import rep_full
 
         T = rep_full(SHEAR, 6)
-        expect = T.dense() @ oc.mat @ T.inv().dense()
+        expect = T.dense() @ oc.mat @ np.linalg.inv(T.dense())
         assert np.max(np.abs(og.mat - expect)) <= 1e-10
 
     def test_bad_inputs(self):

@@ -8,15 +8,14 @@ import scipy.special as sp
 from pblab.special import (
     LogValue,
     binomial_real,
-    hyp2f1_terminating,
     jacobi,
-    jacobi_hyp,
     jacobi_sum,
-    laguerre,
     log_binomial,
     log_factorial,
     log_sum_exp,
 )
+
+from oracles import hyp2f1_terminating, jacobi_hyp, laguerre
 
 
 class TestLogFactorial:
