@@ -292,9 +292,9 @@ def criterion_10_resolution_of_identity() -> CriterionResult:
     rng = np.random.default_rng(4)
     worst = 0.0
     for g in (GL2Matrix.identity(), SHEAR, random_gl2(rng, 0.6, 1.8)):
-        worst = _worst(worst, resolution_check(g, 12, R=6.0))
+        worst = _worst(worst, resolution_check(g, 12))
     return CriterionResult(
-        10, "resolution of identity (L_max = 12, R = 6, 64x64 polar)", worst, tol, worst <= tol
+        10, "resolution of identity (L_max = 12, 64x64 polar)", worst, tol, worst <= tol
     )
 
 

@@ -286,7 +286,7 @@ def cmd_displace(args) -> int:
         dev = kernel_reproducing_check(z1, z2)
         results.append(_check_row("kernel-reproducing", dev, args.tol))
     if args.check in ("all", "resolution"):
-        dev = resolution_check(g, min(args.l_max, 14), R=args.radius)
+        dev = resolution_check(g, min(args.l_max, 14))
         results.append(_check_row("resolution-of-identity", dev, max(args.tol, 1e-8)))
     if args.check in ("all", "growth"):
         _, r_env, ok = norm_growth_certificate(rep_full(g, min(args.l_max, 14)), g.gram())
@@ -435,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z2", default="0:1")
     p.add_argument("--l-max", type=int, default=30)
     p.add_argument("--check-l", type=int, default=10)
-    p.add_argument("--radius", type=float, default=6.0)
     p.add_argument("--eps", type=float, default=1e-10, help="bi-coherent tail bound")
     p.add_argument(
         "--check",

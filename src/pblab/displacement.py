@@ -1,14 +1,18 @@
 """Displacement operators, bi-coherent states, and weight-operator checks.
 
-The canonical displacement matrix elements in the flat basis have the
-Laguerre closed form
+The canonical displacement matrix elements in the flat basis are the
+Cahill-Glauber Laguerre functions (Phys. Rev. 177, 1857, 1969): with
+z = sqrt(t) e^{i th} and a = m - n >= 0,
 
-    D[m, n](z) = sqrt(n!/m!) e^{-|z|^2/2} z^{m-n}     L_n^{(m-n)}(|z|^2)   (m >= n)
-    D[m, n](z) = sqrt(m!/n!) e^{-|z|^2/2} (-conj z)^{n-m} L_m^{(n-m)}(|z|^2)   (m < n)
+    D[m, n](z) = f_n^a(t) e^{i a th},   D[n, m](z) = (-1)^a conj(D[m, n](z)),
+    f_n^a(t) = sqrt(n!/(n+a)!) e^{-t/2} t^{a/2} L_n^a(t).
 
-and are exact infinite-dimensional values, so truncation error enters only
-through products.  For a deformation g the displaced operator in flat
-coordinates is T(g) D(z) T(g)^{-1} and its dual uses T((dagger g)^{-1}).
+``displacement_radial`` evaluates every f_n^a by its normalized three-term
+recurrence in n, so no factorial, power or polynomial value leaves double
+range at any truncation.  The elements are exact infinite-dimensional
+values, so truncation error enters only through products.  For a
+deformation g the displaced operator in flat coordinates is
+T(g) D(z) T(g)^{-1} and its dual uses T((dagger g)^{-1}).
 
 Bi-coherent states are the displaced vacua
 
@@ -25,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, eval_laguerre, gammaincc, gammaln
+from scipy.special import gammaincc, gammaln, xlogy
 
 from . import indexing
 from .gl2 import BlockDiagOperator, GL2Matrix, dual, rep_full
@@ -37,25 +41,47 @@ def wedge(z1: complex, z2: complex) -> float:
     return z1.real * z2.imag - z2.real * z1.imag
 
 
+def displacement_radial(t, dim: int) -> np.ndarray:
+    """Real radial part R of the displacement elements at every t, of shape
+    t.shape + (dim, dim): D[m, n](sqrt(t) e^{i th}) = R[m, n] e^{i th (m-n)}.
+
+    The lower triangle holds R[n+a, n] = f_n^a(t), filled column by column
+    from the normalized recurrence (DLMF 18.9.13)
+
+        sqrt((n+1)(n+1+a)) f_{n+1}^a = (2n+a+1-t) f_n^a - sqrt(n(n+a)) f_{n-1}^a
+
+    started at f_0^a = exp(-t/2 + (a/2) log t - log(a!)/2); the upper
+    triangle is R[n, n+a] = (-1)^a f_n^a.
+    """
+    shape = np.shape(t)
+    t = np.asarray(t, dtype=float).reshape(-1)
+    # built as (dim, dim, t.size) so every step runs along contiguous t
+    out = np.empty((dim, dim, t.size))
+    a = np.arange(dim)[:, None]
+    # xlogy gives 0 log 0 = 0, so at t = 0 the column is exactly e_0
+    out[:, 0] = np.exp(-t / 2 + xlogy(a / 2, t) - 0.5 * gammaln(a + 1))
+    for n in range(dim - 1):
+        a = np.arange(dim - 1 - n)[:, None]
+        step = (2 * n + a + 1 - t) * out[n : dim - 1, n]
+        if n:
+            step -= np.sqrt(n * (n + a)) * out[n - 1 : dim - 2, n - 1]
+        out[n + 1 :, n + 1] = step / np.sqrt((n + 1) * (n + 1 + a))
+    sign = np.where(np.arange(dim) % 2, -1.0, 1.0)[:, None]
+    for n in range(dim - 1):
+        out[n, n + 1 :] = sign[1 : dim - n] * out[n + 1 :, n]
+    return np.moveaxis(out.reshape((dim, dim) + shape), (0, 1), (-2, -1))
+
+
 def canonical_displacement(z: complex, dim: int) -> np.ndarray:
-    """dim x dim matrix of the closed-form displacement elements at z."""
+    """dim x dim matrix of the displacement elements at z."""
     if dim < 1:
         raise ValueError(f"need dim >= 1, got {dim}")
     z = complex(z)
-    t = abs(z) ** 2
-    # the m >= n branch on the lower triangle; the m < n branch is
-    # D[n, m] = (-1)^(m-n) conj(D[m, n]), since the prefactor and the
-    # Laguerre value are real
-    m, n = np.tril_indices(dim)
-    diff = m - n
-    pref = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)) - t / 2)
-    # 0^0 = 1 on the diagonal at z = 0
-    power = np.where(diff == 0, 1.0 + 0.0j, z**diff)
-    lower = pref * eval_genlaguerre(n, diff, t) * power
-    out = np.empty((dim, dim), dtype=complex)
-    out[n, m] = np.where(diff % 2 == 0, 1.0, -1.0) * np.conj(lower)
-    out[m, n] = lower
-    return out
+    # phase[m, n] = e^{i th (m-n)}, a Toeplitz view of one row of phases;
+    # e^{-i th a} is the conjugate of e^{i th a} bit for bit
+    row = np.exp(1j * np.angle(z) * np.arange(1 - dim, dim))
+    phase = np.lib.stride_tricks.sliding_window_view(row, dim)[:, ::-1]
+    return displacement_radial(abs(z) ** 2, dim) * phase
 
 
 def compose_check(z1: complex, z2: complex, L_max: int, check_L: int | None = None) -> float:
@@ -85,10 +111,12 @@ def kernel_reproducing_check(z: complex, zpp: complex, scheme: PlaneScheme | Non
     return float(abs(val - kernel(z, zpp)))
 
 
-def coherent_coefficients(z: complex, dim: int) -> np.ndarray:
-    """e^{-|z|^2/2} z^n / sqrt(n!) for n < dim (stable cumulative form)."""
-    out = np.empty(dim, dtype=complex)
-    out[0] = math.exp(-abs(z) ** 2 / 2)
+def coherent_coefficients(z, dim: int) -> np.ndarray:
+    """e^{-|z|^2/2} z^n / sqrt(n!) for n < dim (stable cumulative form), of
+    shape (dim,) + z.shape for an array of points z."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty((dim,) + z.shape, dtype=complex)
+    out[0] = np.exp(-np.abs(z) ** 2 / 2)
     for n in range(1, dim):
         out[n] = out[n - 1] * z / math.sqrt(n)
     return out
@@ -188,7 +216,6 @@ def covariance_check(z: complex, zp: complex, g: GL2Matrix, L_max: int, check_L:
 def resolution_check(
     g: GL2Matrix,
     L_max: int,
-    R: float | None = None,
     scheme: PlaneScheme | None = None,
     check_tol: float | None = None,
 ) -> float:
@@ -198,8 +225,7 @@ def resolution_check(
     After conjugating away T(g) the integral reduces entrywise to the moment
     identity int e^{-|z|^2} z^n conj(z)^m d^2z/pi = n! delta_{nm}; the polar
     scheme covers the full plane (its radial rule integrates the e^{-t}
-    moments exactly), so R enters only the reported tail diagnostic
-    ``radial_tail`` and no node is discarded.  With ``check_tol`` set the
+    moments exactly) and no node is discarded.  With ``check_tol`` set the
     deviation is recomputed on the doubled scheme and a shift above the
     tolerance raises ConvergenceError.
     """
@@ -210,11 +236,7 @@ def resolution_check(
     T_inv = rep_full(g.inv(), L_max)
 
     def resolved(sch: PlaneScheme) -> np.ndarray:
-        nodes = sch.nodes
-        V = np.empty((d, len(nodes)), dtype=complex)
-        V[0] = np.exp(-np.abs(nodes) ** 2 / 2)
-        for n in range(1, d):
-            V[n] = V[n - 1] * nodes / math.sqrt(n)
+        V = coherent_coefficients(sch.nodes, d)
         moments = (V * sch.weights[None, :]) @ V.conj().T
         return T.apply(T_inv.apply_right(moments))
 
@@ -276,7 +298,7 @@ def weight_operator_numeric(s: float, n: int, scheme: PlaneScheme | None = None)
 
     def integrand(z):
         t = np.abs(z) ** 2
-        return np.exp((s - 1) * t / 2) * eval_laguerre(n, t)
+        return np.exp(s * t / 2) * displacement_radial(t, n + 1)[..., n, n]
 
     return float(np.real(integrate(integrand, scheme, "plane")))
 

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import indexing
-from .special import jacobi, log_binomial, log_sum_exp
+from .special import jacobi_sum, log_binomial, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def rep_diag(h: GL2Matrix, n1: int, n2: int, require_positive: bool = False) -> 
         h = GL2Matrix(h.g22, h.g21, h.g12, h.g11)
         n1, n2 = n2, n1
     x = 1 + 2 * h.g12 * h.g21 / h.det
-    val = h.det**n1 * h.g22 ** (n2 - n1) * jacobi(n1, 0, n2 - n1, x)
+    val = h.det**n1 * h.g22 ** (n2 - n1) * jacobi_sum(n1, 0, n2 - n1, x)
     return complex(val)
 
 

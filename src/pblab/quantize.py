@@ -31,14 +31,13 @@ so convergence to the linear closed form is entrywise in lam but not
 uniform over the truncation.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from . import indexing
+from .displacement import displacement_radial
 from .fock import PseudoPair, TruncatedOperator, commutator, pseudo_pair, safe_part
 from .gl2 import GL2Matrix, rep_full
 from .quadrature import PlaneScheme, polar_scheme
@@ -107,23 +106,6 @@ def _sft_factor(kind: str, lam: float):
     raise ValueError(f"unknown test function kind {kind!r}")
 
 
-def _radial_displacement_table(t: np.ndarray, dim: int) -> np.ndarray:
-    """Real radial part R[i, m, n] with D[m, n](sqrt(t) e^{i th}) =
-    R e^{i th (m - n)}; the sign of the m < n branch is folded in."""
-    m, n = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-    lo = np.minimum(m, n)
-    diff = np.abs(m - n)
-    log_pref = 0.5 * (gammaln(lo + 1) - gammaln(lo + diff + 1))
-    sign = np.where(n > m, (-1.0) ** diff, 1.0)
-    out = np.empty((len(t), dim, dim))
-    for i, ti in enumerate(t):
-        radial = np.exp(log_pref - ti / 2 + 0.5 * diff * math.log(ti) if ti > 0 else log_pref)
-        if ti == 0:
-            radial = np.where(diff == 0, np.exp(log_pref), 0.0)
-        out[i] = sign * radial * eval_genlaguerre(lo, diff, ti)
-    return out
-
-
 def quantize_regularized_oracle(
     kind: str,
     lam: float,
@@ -147,7 +129,7 @@ def quantize_regularized_oracle(
     scalars = weights * np.asarray(sft(nodes) * w.eval(nodes), dtype=complex)
     t_vals = np.abs(nodes[:, 0]) ** 2
     theta = np.angle(nodes[0, :])
-    table = _radial_displacement_table(t_vals, d)
+    table = displacement_radial(t_vals, d)
     harmonics = np.exp(1j * np.outer(theta, np.arange(d)))  # [j, p] = e^{i th_j p}
     acc = np.zeros((d, d), dtype=complex)
     for i in range(nr):

@@ -119,9 +119,3 @@ def jacobi_sum(n: int, alpha: float, beta: float, x):
         )
     return total
 
-
-def jacobi(n: int, alpha: float, beta: float, x):
-    """Jacobi polynomial P_n^(alpha, beta)(x) by the binomial sum; the tests
-    cross-check it against the terminating hypergeometric form.
-    """
-    return jacobi_sum(n, alpha, beta, x)

@@ -4,9 +4,10 @@ Each oracle computes a quantity the library also computes, by a different
 route: the entrywise or 50-digit q-sum of a representation block (and the
 modulus sum that scales its rounding error), the q-sum of a diagonal
 element, the hypergeometric form of a Jacobi polynomial, the finite sum of
-a generalized Laguerre polynomial, the exact-rational contraction
-transform, and the r = 1 closed forms of the diagonal.  Nothing in the
-library calls them.
+a generalized Laguerre polynomial, the double-precision and 40-digit
+Laguerre closed forms of the displacement elements, the exact-rational
+contraction transform, and the r = 1 closed forms of the diagonal.  Nothing
+in the library calls them.
 """
 
 import math
@@ -15,6 +16,7 @@ from types import SimpleNamespace
 
 import mpmath
 import numpy as np
+from scipy.special import eval_genlaguerre, gammaln
 
 from pblab.gl2 import GL2Matrix
 from pblab.special import binomial_real, log_binomial, log_factorial
@@ -136,6 +138,35 @@ def laguerre(n: int, mu: int, x):
         coeff = math.exp(log_top - log_factorial(mu + k) - log_factorial(n - k) - log_factorial(k))
         total += (-1) ** k * coeff * x**k
     return total
+
+
+def displacement_closed_form(z, m, n):
+    """D[m, n](z) at index arrays m, n by the printed closed form in double
+    precision: exp of the log prefactor times L_lo^a(|z|^2) times z^a (m >= n)
+    or (-conj z)^a (m < n), with lo = min(m, n) and a = |m - n|.  At large
+    indices the factors leave double range, and entries come out non-finite
+    or zero where the true value is not."""
+    z = complex(z)
+    m, n = np.broadcast_arrays(np.asarray(m), np.asarray(n))
+    t = abs(z) ** 2
+    lo = np.minimum(m, n)
+    a = np.abs(m - n)
+    w = np.where(m >= n, z, -np.conj(z))
+    with np.errstate(all="ignore"):  # the overflow is what the tests probe
+        pref = np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + a + 1)) - t / 2)
+        power = np.where(a == 0, 1.0 + 0.0j, w**a)  # 0^0 = 1 at z = 0
+        return pref * eval_genlaguerre(lo, a, t) * power
+
+
+def displacement_mpmath(z, m: int, n: int, dps: int = 40) -> complex:
+    """D[m, n](z) from the same closed form at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        w = mpmath.mpc(complex(z))
+        t = abs(w) ** 2
+        if m < n:
+            m, n, w = n, m, -mpmath.conj(w)
+        pref = mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m)) * mpmath.exp(-t / 2)
+        return complex(pref * w ** (m - n) * mpmath.laguerre(n, m - n, t))
 
 
 def exp_contraction_exact(terms: dict[tuple[int, int], Fraction]) -> dict[tuple[int, int], Fraction]:

@@ -11,6 +11,7 @@ from pblab.displacement import (
     coherent_coefficients,
     compose_check,
     covariance_check,
+    displacement_radial,
     kernel,
     kernel_reproducing_check,
     norm_growth_certificate,
@@ -26,7 +27,7 @@ from pblab.fock import pseudo_pair
 from pblab.gl2 import GL2Matrix, dual, random_gl2, rep_full
 from pblab.quadrature import polar_scheme
 
-from oracles import laguerre
+from oracles import displacement_closed_form, displacement_mpmath, laguerre
 
 SHEAR = GL2Matrix(1, 1, 0, 1)
 
@@ -105,6 +106,52 @@ class TestCanonicalElements:
         z = 0.8 + 0.1j
         lhs = canonical_displacement(-z, 25).conj().T
         assert np.max(np.abs(lhs - canonical_displacement(z, 25))) <= 1e-12
+
+
+# Entries where the double-precision closed form fails: it reads NaN or inf,
+# or 0 where |D| > 1e-3 (found by evaluating it on the full matrix).
+FORMERLY_BAD = {
+    (1081, 1 + 0.5j): [(1079, 631), (1080, 421), (1079, 525)],
+    (1081, 3 - 2j): [(1078, 673), (668, 1076), (672, 1079), (1009, 791), (940, 718), (1066, 841)],
+    (1891, 1 + 0.5j): [(1835, 1594), (1615, 1856), (1604, 1845)],
+    (1891, 3 - 2j): [(1353, 1625), (1316, 1586), (1613, 1341), (1646, 1428), (1407, 1157), (892, 1121)],
+}
+
+
+class TestLaguerreRoute:
+    @pytest.mark.parametrize("dim, z", list(FORMERLY_BAD))
+    def test_large_dim_finite_and_matches_reference(self, dim, z):
+        D = canonical_displacement(z, dim)
+        assert np.all(np.isfinite(D))
+        bad = FORMERLY_BAD[(dim, z)]
+        old = displacement_closed_form(z, *np.transpose(bad))
+        assert np.all(~np.isfinite(old) | (old == 0))
+        rng = np.random.default_rng(dim)
+        picks = [tuple(ij) for ij in rng.integers(0, dim, size=(12, 2))] + [(833, 1049)] + bad
+        for m, n in picks:
+            assert abs(D[m, n] - displacement_mpmath(z, m, n)) <= 1e-13, (m, n)
+
+    @pytest.mark.parametrize("z", [0.7 + 0.2j, 1 + 0.5j, 3 - 2j, -2 + 1j])
+    def test_matches_closed_form_where_it_holds(self, z):
+        for L_max in (10, 20, 30):
+            d = indexing.dim(L_max)
+            m, n = np.indices((d, d))
+            ref = displacement_closed_form(z, m, n)
+            assert np.max(np.abs(canonical_displacement(z, d) - ref)) <= 1e-12
+
+    def test_radial_table_over_an_array_of_t(self):
+        t = np.array([0.0, 0.3, 2.5, 40.0])
+        table = displacement_radial(t, 20)
+        assert table.shape == (4, 20, 20)
+        for i, ti in enumerate(t):
+            assert np.array_equal(table[i], displacement_radial(ti, 20))
+        assert np.array_equal(table[0], np.eye(20))
+
+    def test_laws_at_L45(self):
+        # the closed form returned NaN here
+        z1, z2 = 3 - 2j, 0.5j
+        for dev in (compose_check(z1, z2, 45, check_L=10), covariance_check(z1, z2, SHEAR, 45, check_L=10)):
+            assert math.isfinite(dev) and dev <= 1e-10
 
 
 class TestComposition:
@@ -195,11 +242,11 @@ class TestCovariance:
 
 class TestResolution:
     def test_identity_deformation(self):
-        assert resolution_check(GL2Matrix.identity(), 12, R=6.0) <= 1e-8
+        assert resolution_check(GL2Matrix.identity(), 12) <= 1e-8
 
     def test_general_deformation(self):
         rng = np.random.default_rng(0)
-        assert resolution_check(random_gl2(rng, 0.6, 1.8), 12, R=6.0) <= 1e-8
+        assert resolution_check(random_gl2(rng, 0.6, 1.8), 12) <= 1e-8
 
     def test_vacuum_entry(self):
         # single n = 0 diagonal entry is the normalization integral
@@ -287,3 +334,11 @@ class TestNormGrowth:
 def test_coherent_coefficients_normalized():
     v = coherent_coefficients(1.2 - 0.3j, 200)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_coherent_coefficients_over_an_array_of_points():
+    z = np.array([[0.0, 1.2 - 0.3j], [-2j, 0.5]])
+    V = coherent_coefficients(z, 30)
+    assert V.shape == (30, 2, 2)
+    for i, j in np.ndindex(z.shape):
+        assert np.array_equal(V[:, i, j], coherent_coefficients(z[i, j], 30))

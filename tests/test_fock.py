@@ -206,8 +206,9 @@ def rel_dev(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
+_CONJUGATION_RNG = np.random.default_rng(12)
 CONJUGATION_MATRICES = [SHEAR, GL2Matrix.diagonal(2, 1)] + [
-    random_gl2(np.random.default_rng(12), 0.7, 1.6) for _ in range(2)
+    random_gl2(_CONJUGATION_RNG, 0.7, 1.6) for _ in range(2)
 ]
 
 

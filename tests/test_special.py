@@ -8,7 +8,6 @@ import scipy.special as sp
 from pblab.special import (
     LogValue,
     binomial_real,
-    jacobi,
     jacobi_sum,
     log_binomial,
     log_factorial,
@@ -87,9 +86,6 @@ class TestJacobi:
         v1 = jacobi_sum(4, 0, 2, z)
         v2 = jacobi_hyp(4, 0, 2, z)
         assert abs(v1 - v2) < 1e-12 * abs(v1)
-
-    def test_default_route_is_sum(self):
-        assert jacobi(7, 0, 3, 2.0) == jacobi_sum(7, 0, 3, 2.0)
 
 
 class TestLaguerre:
