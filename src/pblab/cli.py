@@ -86,15 +86,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _to_csv(results: list[dict]) -> str:
     buf = io.StringIO()
-    keys: list[str] = []
-    for row in results:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
+    # columns in order of first appearance over all rows
+    keys = list(dict.fromkeys(k for row in results for k in row))
     writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
     writer.writeheader()
-    for row in results:
-        writer.writerow(row)
+    writer.writerows(results)
     return buf.getvalue()
 
 

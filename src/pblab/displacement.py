@@ -8,11 +8,11 @@ z = sqrt(t) e^{i th} and a = m - n >= 0,
     f_n^a(t) = sqrt(n!/(n+a)!) e^{-t/2} t^{a/2} L_n^a(t).
 
 ``displacement_radial`` evaluates every f_n^a by its normalized three-term
-recurrence in n, so no factorial, power or polynomial value leaves double
-range at any truncation.  The elements are exact infinite-dimensional
-values, so truncation error enters only through products.  For a
-deformation g the displaced operator in flat coordinates is
-T(g) D(z) T(g)^{-1} and its dual uses T((dagger g)^{-1}).
+recurrence in n, so every entry is finite at any truncation and any z, and
+only entries below about 1e-140 in magnitude may read 0.  The elements are
+exact infinite-dimensional values, so truncation error enters only through
+products.  For a deformation g the displaced operator in flat coordinates
+is T(g) D(z) T(g)^{-1} and its dual uses T((dagger g)^{-1}).
 
 Bi-coherent states are the displaced vacua
 
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaln, xlogy
+from scipy.special import eval_laguerre, gammaincc, gammaln, xlogy
 
 from . import indexing
 from .gl2 import BlockDiagOperator, GL2Matrix, dual, rep_full
@@ -51,7 +51,10 @@ def displacement_radial(t, dim: int) -> np.ndarray:
         sqrt((n+1)(n+1+a)) f_{n+1}^a = (2n+a+1-t) f_n^a - sqrt(n(n+a)) f_{n-1}^a
 
     started at f_0^a = exp(-t/2 + (a/2) log t - log(a!)/2); the upper
-    triangle is R[n, n+a] = (-1)^a f_n^a.
+    triangle is R[n, n+a] = (-1)^a f_n^a.  The recurrence runs on
+    g = f_n^a e^{-c} from g = 1 and c = log f_0^a; g is divided by a power
+    of two, and c raised to match, whenever it passes 2^600, so neither the
+    underflow of e^{-t/2} nor the growth of L_n^a leaves double range.
     """
     shape = np.shape(t)
     t = np.asarray(t, dtype=float).reshape(-1)
@@ -59,13 +62,20 @@ def displacement_radial(t, dim: int) -> np.ndarray:
     out = np.empty((dim, dim, t.size))
     a = np.arange(dim)[:, None]
     # xlogy gives 0 log 0 = 0, so at t = 0 the column is exactly e_0
-    out[:, 0] = np.exp(-t / 2 + xlogy(a / 2, t) - 0.5 * gammaln(a + 1))
+    c = -t / 2 + xlogy(a / 2, t) - 0.5 * gammaln(a + 1)
+    out[:, 0] = scale = np.exp(c)
+    prev, g = np.zeros_like(scale), np.ones_like(scale)
     for n in range(dim - 1):
-        a = np.arange(dim - 1 - n)[:, None]
-        step = (2 * n + a + 1 - t) * out[n : dim - 1, n]
-        if n:
-            step -= np.sqrt(n * (n + a)) * out[n - 1 : dim - 2, n - 1]
-        out[n + 1 :, n + 1] = step / np.sqrt((n + 1) * (n + 1 + a))
+        k = dim - 1 - n
+        a = a[:k]
+        step = (2 * n + a + 1 - t) * g[:k] - np.sqrt(n * (n + a)) * prev[:k]
+        prev, g = g[:k], step / np.sqrt((n + 1) * (n + 1 + a))
+        if np.max(np.abs(g)) > 2.0**600:
+            shift = np.where(np.abs(g) > 2.0**600, np.frexp(g)[1], 0)
+            g, prev = np.ldexp(g, -shift), np.ldexp(prev, -shift)
+            c[:k] += shift * math.log(2)
+            scale[:k] = np.exp(c[:k])
+        out[n + 1 :, n + 1] = g * scale[:k]
     sign = np.where(np.arange(dim) % 2, -1.0, 1.0)[:, None]
     for n in range(dim - 1):
         out[n, n + 1 :] = sign[1 : dim - n] * out[n + 1 :, n]
@@ -173,14 +183,11 @@ def bicoherent(z: complex, g: GL2Matrix, L_max: int, eps: float) -> BiCoherentPa
     r_max = max(r_env, r_env_dual)
     beyond = damp * _tail_envelope(za, r_max, d)
     worst_norms = np.maximum(norms_phi, norms_psi)
-    n_cut = None
-    for N in range(d):
-        tail = damp * float(np.sum(coeff_abs[N + 1 :] * worst_norms[N + 1 :])) + beyond
-        if tail <= eps:
-            n_cut = N
-            tail_bound = tail
+    for n_cut in range(d):
+        tail_bound = damp * float(np.sum(coeff_abs[n_cut + 1 :] * worst_norms[n_cut + 1 :])) + beyond
+        if tail_bound <= eps:
             break
-    if n_cut is None:
+    else:
         needed = int(math.ceil(4 * (r_max * za) ** 2)) + 1
         raise ValueError(
             f"tail bound {eps:g} unreachable inside L_max={L_max}; "
@@ -298,7 +305,7 @@ def weight_operator_numeric(s: float, n: int, scheme: PlaneScheme | None = None)
 
     def integrand(z):
         t = np.abs(z) ** 2
-        return np.exp(s * t / 2) * displacement_radial(t, n + 1)[..., n, n]
+        return np.exp((s - 1) * t / 2) * eval_laguerre(n, t)
 
     return float(np.real(integrate(integrand, scheme, "plane")))
 

@@ -139,6 +139,17 @@ class TestLaguerreRoute:
             ref = displacement_closed_form(z, m, n)
             assert np.max(np.abs(canonical_displacement(z, d) - ref)) <= 1e-12
 
+    @pytest.mark.parametrize("dim, z", [(1891, 40.0), (1891, 30 + 60j), (500, 45j)])
+    def test_large_argument_matches_reference(self, dim, z):
+        # e^{-|z|^2/2} underflows here, yet entries with n ~ |z|^2/4 are O(0.1)
+        D = canonical_displacement(z, dim)
+        assert np.all(np.isfinite(D))
+        rng = np.random.default_rng(dim)
+        picks = [tuple(ij) for ij in rng.integers(0, dim, size=(12, 2))] + [(dim - 1, dim - 1), (dim // 2, dim // 2 - 3)]
+        for m, n in picks:
+            assert abs(D[m, n] - displacement_mpmath(z, m, n)) <= 1e-13, (m, n)
+        assert np.max(np.abs(D)) > 1e-3
+
     def test_radial_table_over_an_array_of_t(self):
         t = np.array([0.0, 0.3, 2.5, 40.0])
         table = displacement_radial(t, 20)
@@ -274,7 +285,9 @@ class TestWeightOperator:
             assert weight_operator_diag(-1.0, n) == pytest.approx(0.0)
         assert weight_operator_diag(-3.0, 2) == pytest.approx(0.125)
 
-    @pytest.mark.parametrize("s", [-3.0, -1.0, 0.0, 0.5])
+    # at s = 0.9 the radial nodes reach |z|^2 ~ 4700, where e^{s|z|^2/2}
+    # overflows and e^{-|z|^2/2} underflows; only their product is in range
+    @pytest.mark.parametrize("s", [-3.0, -1.0, 0.0, 0.5, 0.9])
     def test_numeric_matches_closed_form(self, s):
         for n in range(11):
             closed = weight_operator_diag(s, n)
