@@ -25,6 +25,7 @@ import numpy as np
 from . import indexing
 from .gl2 import GL2Matrix, dual, rep_block, rep_diag, rep_diag_log
 from .hermite import PolyCoeffs, exp_contraction, hermite_coeffs, inner
+from .quadrature import tensor_hermite_scheme
 from .special import log_binomial
 
 
@@ -63,40 +64,48 @@ def dual_coeffs(g: GL2Matrix, n1: int, n2: int) -> PolyCoeffs:
     return deformed_coeffs(dual(g), n1, n2)
 
 
-@dataclass(frozen=True)
-class DeformedFamily:
-    """All deformed and dual polynomials with total degree <= L_max."""
+def family_values(g: GL2Matrix, L_max: int, z) -> np.ndarray:
+    """Values h^g_n(z) at the points z, one row per flat index n < dim(L_max).
 
-    g: GL2Matrix
-    L_max: int
-    coeffs: dict
-    dual_coeffs: dict
+    exp(-d d_bar) w1 = (w1 - g11 d_bar - g21 d) exp(-d d_bar), with
+    w1 = g11 z + g21 zbar, gives the recurrence in n1
 
-    @classmethod
-    def build(cls, g: GL2Matrix, L_max: int) -> "DeformedFamily":
-        gd = dual(g)
-        coeffs = {}
-        duals = {}
-        for L in range(L_max + 1):
-            for n1 in range(L + 1):
-                key = indexing.ModeIndex(n1, L - n1)
-                coeffs[key] = deformed_coeffs(g, n1, L - n1)
-                duals[key] = deformed_coeffs(gd, n1, L - n1)
-        return cls(g, L_max, coeffs, duals)
+        sqrt(n1+1) h_{n1+1,n2} = w1 h_{n1,n2} - 2 g11 g21 sqrt(n1) h_{n1-1,n2}
+                                 - (g11 g22 + g12 g21) sqrt(n2) h_{n1,n2-1};
+
+    the column h_{0,n2} obeys it in n2 with w2 = g12 z + g22 zbar and 2 g12 g22.
+    """
+    z = np.asarray(z, dtype=complex)
+    w1 = g.g11 * z + g.g21 * z.conj()
+    w2 = g.g12 * z + g.g22 * z.conj()
+    mixed = g.g11 * g.g22 + g.g12 * g.g21
+    root = np.sqrt(np.arange(L_max + 1)).reshape((-1,) + (1,) * z.ndim)
+    # h[n1 + 1, n2 + 1] = h^g_{n1,n2}; row and column 0 stand in for index -1
+    h = np.zeros((L_max + 2, L_max + 2) + z.shape, dtype=complex)
+    h[1, 1] = 1.0
+    for n2 in range(L_max):
+        h[1, n2 + 2] = (w2 * h[1, n2 + 1] - 2 * g.g12 * g.g22 * root[n2] * h[1, n2]) / root[n2 + 1]
+    for n1 in range(L_max):
+        m = L_max - n1  # n2 < m keeps n1 + 1 + n2 <= L_max
+        h[n1 + 2, 1 : m + 1] = (w1 * h[n1 + 1, 1 : m + 1] - 2 * g.g11 * g.g21 * root[n1] * h[n1, 1 : m + 1]
+                                - mixed * root[:m] * h[n1 + 1, :m]) / root[n1 + 1]
+    n1, n2 = np.array([indexing.unflatten(n) for n in range(indexing.dim(L_max))]).T
+    return h[n1 + 1, n2 + 1]
 
 
 def biorth_gram(g: GL2Matrix, L_max: int):
     """Gram matrix G[n, n'] = <dual_n, deformed_n'> over flat indices, plus
-    its maximum deviation from the identity (exact-moment inner products)."""
-    family = DeformedFamily.build(g, L_max)
-    n_tot = indexing.dim(L_max)
-    gram = np.empty((n_tot, n_tot), dtype=complex)
-    for n in range(n_tot):
-        p = family.dual_coeffs[indexing.unflatten(n)]
-        for npr in range(n_tot):
-            q = family.coeffs[indexing.unflatten(npr)]
-            gram[n, npr] = inner(p, q)
-    deviation = float(np.max(np.abs(gram - np.eye(n_tot))))
+    its maximum deviation from the identity.
+
+    conj(dual_n) deformed_n' has degree <= L_max in each of z and zbar, so
+    tensor Gauss-Hermite with L_max + 1 nodes per axis integrates it
+    exactly; the Gram is one product of node-value matrices.
+    """
+    scheme = tensor_hermite_scheme(L_max + 1)
+    deformed_vals = family_values(g, L_max, scheme.nodes)
+    dual_vals = family_values(dual(g), L_max, scheme.nodes)
+    gram = (dual_vals.conj() * scheme.weights) @ deformed_vals.T
+    deviation = float(np.max(np.abs(gram - np.eye(len(gram)))))
     return gram, deviation
 
 

@@ -20,9 +20,8 @@ products, making the orthonormality defect exactly zero in exact arithmetic.
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
-from .quadrature import exact_gaussian_moment
+from .quadrature import FACTORIALS, exact_gaussian_moment
 
 
 class PolyCoeffs:
@@ -209,10 +208,7 @@ def inner(p: PolyCoeffs, q: PolyCoeffs) -> complex:
         jq = np.arange(len(vq)) + max(d, 0)
         # moment exponent (j - d) + j' for p-index j, q-index j'
         expo = jp[:, None] + jq[None, :] - d
-        moments = np.exp(gammaln(expo + 1.0))
-        small = expo <= 20
-        if np.any(small):  # exact factorials where they are exactly representable
-            moments[small] = np.vectorize(lambda n: float(math.factorial(int(n))))(expo[small])
+        moments = FACTORIALS[np.minimum(expo, 171)]
         total += vp.conj() @ moments @ vq
     return complex(total)
 

@@ -5,8 +5,9 @@ Two measures appear throughout the package:
     dnu    = e^{-|z|^2} d^2z / pi      (normalized Gaussian measure)
     plane  = d^2z / pi                 (flat measure; integrand must decay)
 
-Polynomial integrals against dnu are done exactly through moments
-(``gaussian_moment``); quadrature schemes are for non-polynomial integrands
+Polynomial integrals against dnu are exact: through moments
+(``gaussian_moment``), or through tensor Gauss-Hermite when the degree is
+within the scheme's order.  Other schemes are for non-polynomial integrands
 such as weight functions and displacement kernels.  Schemes are immutable
 and node evaluation order is fixed, so results are bit-reproducible.
 """
@@ -15,7 +16,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_hermite, roots_laguerre
+from numpy.polynomial.hermite import hermgauss
+from scipy.special import roots_laguerre
+
+# float(n!) for n <= 170, correctly rounded; 171! overflows a double to inf
+FACTORIALS = np.array([float(math.factorial(n)) for n in range(171)] + [math.inf])
 
 
 class ConvergenceError(RuntimeError):
@@ -38,11 +43,11 @@ def exact_gaussian_moment(a: int, b: int) -> int:
 
 
 def gaussian_moment(a: int, b: int) -> float:
-    """Float version of ``exact_gaussian_moment``."""
+    """Float version of ``exact_gaussian_moment``; inf where a! overflows a double."""
     if a != b:
         exact_gaussian_moment(a, b)  # argument validation
         return 0.0
-    return float(math.exp(math.lgamma(a + 1))) if a > 170 else float(math.factorial(a))
+    return float(FACTORIALS[min(a, 171)])
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ def tensor_hermite_scheme(n: int) -> PlaneScheme:
     """
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
-    x, w = roots_hermite(n)
+    x, w = hermgauss(n)
     zx, zy = np.meshgrid(x, x, indexing="ij")
     wx, wy = np.meshgrid(w, w, indexing="ij")
     nodes = (zx + 1j * zy).ravel()

@@ -6,11 +6,13 @@ modulus sum that scales its rounding error), the q-sum of a diagonal
 element, the hypergeometric form of a Jacobi polynomial, the finite sum of
 a generalized Laguerre polynomial, the double-precision and 40-digit
 Laguerre closed forms of the displacement elements, the exact-rational
-contraction transform, and the r = 1 closed forms of the diagonal.  Nothing
-in the library calls them.
+contraction transform, the r = 1 closed forms of the diagonal, and the
+biorthogonality Gram from coefficient grids and exact moments.  Nothing in
+the library calls them.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -18,7 +20,10 @@ import mpmath
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from pblab.gl2 import GL2Matrix
+from pblab import indexing
+from pblab.deformed import deformed_coeffs
+from pblab.gl2 import GL2Matrix, dual
+from pblab.hermite import inner
 from pblab.special import binomial_real, log_binomial, log_factorial
 
 
@@ -200,3 +205,36 @@ def stirling_r1_log(h11: float, h22: float, n1: int, n2: int) -> float:
 def binomial_diag_log(h11: float, h22: float, n1: int, n2: int) -> float:
     """ln of the exact r = 1 diagonal h11^{n1} h22^{n2} C(n1+n2, n1)."""
     return n1 * math.log(h11) + n2 * math.log(h22) + log_binomial(n1 + n2, n1)
+
+
+@dataclass(frozen=True)
+class DeformedFamily:
+    """Coefficient grids of all deformed and dual polynomials with total
+    degree <= L_max, keyed by mode label."""
+
+    g: GL2Matrix
+    L_max: int
+    coeffs: dict
+    dual_coeffs: dict
+
+    @classmethod
+    def build(cls, g: GL2Matrix, L_max: int) -> "DeformedFamily":
+        gd = dual(g)
+        coeffs = {}
+        duals = {}
+        for L in range(L_max + 1):
+            for n1 in range(L + 1):
+                key = indexing.ModeIndex(n1, L - n1)
+                coeffs[key] = deformed_coeffs(g, n1, L - n1)
+                duals[key] = deformed_coeffs(gd, n1, L - n1)
+        return cls(g, L_max, coeffs, duals)
+
+
+def biorth_gram_moments(g: GL2Matrix, L_max: int) -> np.ndarray:
+    """Gram matrix G[n, n'] = <dual_n, deformed_n'> by one exact-moment
+    inner product of coefficient grids per entry.  The moment sums cancel
+    terms of size coefficient^2 x factorial, so the result loses digits as
+    L_max grows (2.5e-12 from the identity for the shear at L_max 8)."""
+    family = DeformedFamily.build(g, L_max)
+    modes = [indexing.unflatten(n) for n in range(indexing.dim(L_max))]
+    return np.array([[inner(family.dual_coeffs[a], family.coeffs[b]) for b in modes] for a in modes])

@@ -82,6 +82,16 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["results"][0]["deviation"] <= 1e-10
 
+    def test_deformed_gram_reaches_L20(self, capsys):
+        # the shear reads 3.4e-9 here: eps times the largest sum of
+        # w |dual| |deformed| over the nodes is 3.3e-9, so the default 1e-9
+        # sits below its double-precision floor
+        code, out = run_cli(capsys, "deformed", "--g", "1,1,0,1", "--l-max", "20", "--check", "gram",
+                            "--tol", "1e-8")
+        assert code == 0
+        (row,) = json.loads(out)["results"]
+        assert row["pass"] and row["deviation"] <= 1e-8
+
     def test_fock_all(self, capsys):
         code, out = run_cli(capsys, "fock", "--g", "1,1,0,1", "--l-max", "8")
         payload = json.loads(out)

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import DeformedFamily, biorth_gram_moments
 from pblab import indexing
 from pblab.deformed import (
-    DeformedFamily,
     biorth_gram,
     deformed_coeffs,
     deformed_via_rep,
     dual_coeffs,
     dual_norm_sq,
+    family_values,
     norm_bound_violation,
     norm_bounds,
     norm_sq,
@@ -19,8 +20,15 @@ from pblab.deformed import (
 )
 from pblab.gl2 import GL2Matrix, dual, random_gl2
 from pblab.hermite import PolyCoeffs, hermite_coeffs
+from pblab.quadrature import tensor_hermite_scheme
 
 SHEAR = GL2Matrix(1, 1, 0, 1)
+
+
+def _gram_matrices():
+    """The shear, diag(2, 1) and three seeded draws."""
+    rng = np.random.default_rng(6)
+    return [SHEAR, GL2Matrix.diagonal(2, 1)] + [random_gl2(rng) for _ in range(3)]
 
 
 class TestDeformedCoeffs:
@@ -94,6 +102,31 @@ class TestDualCoeffs:
             GL2Matrix(1, 2, 2, 4)
 
 
+class TestFamilyValues:
+    NODES = tensor_hermite_scheme(5).nodes
+
+    def test_recurrence_matches_coefficient_grids(self):
+        # relative to the polynomial's largest node value, which reaches 680
+        for g in _gram_matrices():
+            vals = family_values(g, 4, self.NODES)
+            for n in range(indexing.dim(4)):
+                p = deformed_coeffs(g, *indexing.unflatten(n))
+                ref = np.array([p(z) for z in self.NODES])
+                assert np.max(np.abs(vals[n] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+    def test_identity_gives_hermite(self):
+        vals = family_values(GL2Matrix.identity(), 4, self.NODES)
+        for n in range(indexing.dim(4)):
+            p = hermite_coeffs(*indexing.unflatten(n))
+            assert np.max(np.abs(vals[n] - [p(z) for z in self.NODES])) <= 1e-13
+
+    def test_scalar_point(self):
+        z = 0.4 - 1.1j
+        vals = family_values(SHEAR, 3, z)
+        assert vals.shape == (indexing.dim(3),)
+        assert vals[indexing.flatten(2, 1)] == pytest.approx(deformed_coeffs(SHEAR, 2, 1)(z), abs=1e-13)
+
+
 class TestBiorthGram:
     def test_identity_exact(self):
         gram, dev = biorth_gram(GL2Matrix.identity(), 4)
@@ -109,6 +142,25 @@ class TestBiorthGram:
         for _ in range(3):
             _, dev = biorth_gram(random_gl2(rng), 6)
             assert dev <= 1e-9
+
+    def test_agrees_with_moment_oracle(self):
+        # the moment sums stay accurate to L_max 6
+        for g in _gram_matrices():
+            for L_max in (2, 6):
+                gram, _ = biorth_gram(g, L_max)
+                assert np.max(np.abs(gram - biorth_gram_moments(g, L_max))) <= 1e-12
+
+    def test_identity_at_L8(self):
+        # against the identity: the moment oracle itself reads 2.5e-12 on the shear
+        for g in _gram_matrices():
+            _, dev = biorth_gram(g, 8)
+            assert dev <= 1e-12
+
+    def test_reaches_L20(self):
+        g = random_gl2(np.random.default_rng(20), 0.8, 1.3)
+        gram, dev = biorth_gram(g, 20)
+        assert gram.shape == (indexing.dim(20),) * 2
+        assert dev <= 1e-9
 
 
 class TestNorms:

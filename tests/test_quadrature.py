@@ -28,6 +28,8 @@ class TestGaussianMoment:
         assert gaussian_moment(2, 2) == 2.0
         assert gaussian_moment(5, 5) == 120.0
         assert exact_gaussian_moment(20, 20) == math.factorial(20)
+        assert gaussian_moment(170, 170) == float(math.factorial(170))
+        assert gaussian_moment(171, 171) == math.inf
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -45,6 +47,17 @@ class TestSchemes:
                 val = integrate(lambda z: np.conj(z) ** a * z**b, sch, "dnu")
                 ref = gaussian_moment(a, b)
                 assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("n", [9, 21])
+    def test_tensor_hermite_exact_to_order(self, n):
+        sch = tensor_hermite_scheme(n)
+        zb, z = np.conj(sch.nodes), sch.nodes
+        for a in range(2 * n):
+            for b in range(2 * n - a):
+                val = integrate(lambda _: zb**a * z**b, sch, "dnu")
+                # scale: the integral of the modulus |z|^(a+b), which is a! when a == b
+                scale = math.gamma((a + b) / 2 + 1)
+                assert abs(val - gaussian_moment(a, b)) <= 1e-13 * max(1.0, scale), (a, b)
 
     def test_tensor_hermite_zzbar(self):
         sch = tensor_hermite_scheme(8)
