@@ -17,6 +17,7 @@ from . import indexing
 from .asymptotics import laplace_root, ratio_row
 from .deformed import (
     NORM_BOUND_LOG_SLACK,
+    biorth_gram,
     deformed_coeffs,
     deformed_via_rep,
     norm_bound_violation,
@@ -43,12 +44,7 @@ from .fock import (
     safe_part,
 )
 from .gl2 import GL2Matrix, homomorphism_deviation, inverse_deviation, random_gl2, rep_block, star_deviation
-from .hermite import (
-    hermite_terms_exact,
-    hermite_via_contraction,
-    inner_exact,
-    orthonormality_deviation,
-)
+from .hermite import hermite_terms_exact, hermite_via_contraction, inner_exact
 from .quantize import (
     drift_weight,
     isotropic_gaussian_weight,
@@ -101,7 +97,8 @@ def criterion_01_orthonormality() -> CriterionResult:
         ref = math.factorial(ma[0]) * math.factorial(ma[1]) if ma == mb else 0
         if inner_exact(exact_terms[ma], exact_terms[mb]) != ref:
             exact_mismatches += 1
-    worst = orthonormality_deviation(10)
+    # the Gram of the deformed family at g = I, dual(I) = I, is <h_n, h_n'>
+    _, worst = biorth_gram(GL2Matrix.identity(), 10)
     passed = exact_mismatches == 0 and worst <= tol
     return CriterionResult(
         1,

@@ -33,7 +33,7 @@ from .displacement import (
 )
 from .fock import ccr_deviation, cuntz_deviation, deformed_ccr_deviation, ladder_deviation, metric_deviation, pseudo_commutator_deviation, pseudo_pair
 from .gl2 import GL2Matrix, homomorphism_deviation, inverse_deviation, random_gl2, rep_block, rep_diag, rep_full, star_deviation
-from .hermite import hermite_coeffs, hermite_via_contraction, orthonormality_deviation
+from .hermite import hermite_coeffs, hermite_via_contraction
 from .quantize import (
     drift_weight,
     isotropic_gaussian_weight,
@@ -137,7 +137,8 @@ def cmd_hermite(args) -> int:
         return emit_report(args, "hermite", params, results, True)
     params["max_degree"] = args.max_degree
     if args.check == "orthonormality":
-        results.append(_check_row("orthonormality", orthonormality_deviation(args.max_degree), args.tol))
+        _, dev = biorth_gram(GL2Matrix.identity(), args.max_degree)
+        results.append(_check_row("orthonormality", dev, args.tol))
     elif args.check == "equivalence":
         worst = np.max([
             np.max(np.abs((hermite_coeffs(n1, L - n1) - hermite_via_contraction(n1, L - n1)).coeff))
@@ -499,6 +500,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         if action.dest in overrides:
             raw = overrides.pop(action.dest)
             value = action.type(raw) if action.type else raw
+            if action.choices is not None and value not in action.choices:
+                raise ConfigError(f"{path}: {action.dest} = {raw!r} is not one of {list(action.choices)}")
             sub_parser.set_defaults(**{action.dest: value})
     return argv
 

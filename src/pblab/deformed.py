@@ -122,20 +122,22 @@ def dual_norm_sq(g: GL2Matrix, n1: int, n2: int) -> float:
 
 
 def norm_sq_inner(g: GL2Matrix, n1: int, n2: int) -> float:
-    """Squared norm by direct Gaussian integration (independent route)."""
+    """Squared norm by exact moments of the coefficient grid (grid route)."""
     p = deformed_coeffs(g, n1, n2)
     return inner(p, p).real
 
 
 def norm_identity_deviation(g: GL2Matrix, L_values) -> float:
-    """Max relative gap between the exact squared norm and direct Gaussian
-    integration over every (n1, n2) with n1 + n2 in L_values."""
-    rel = []
-    for L in L_values:
-        for n1 in range(L + 1):
-            a = norm_sq(g, n1, L - n1)
-            rel.append(abs(a - norm_sq_inner(g, n1, L - n1)) / abs(a))
-    return float(np.max(rel))
+    """Max relative gap between the exact squared norm and its integral on
+    the node values of ``biorth_gram``'s scheme (exact, as |h^g_n|^2 has
+    degree <= L_max in each of z and zbar) over n1 + n2 in L_values."""
+    L_max = max(L_values)
+    scheme = tensor_hermite_scheme(L_max + 1)
+    values = family_values(g, L_max, scheme.nodes)
+    flat = [n for L in L_values for n in indexing.sector_range(L)]
+    integrated = np.abs(values[flat]) ** 2 @ scheme.weights
+    exact = np.array([norm_sq(g, *indexing.unflatten(n)) for n in flat])
+    return float(np.max(np.abs(exact - integrated) / np.abs(exact)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from . import indexing
 from .gl2 import BlockDiagOperator, GL2Matrix, rep_full
@@ -118,16 +117,21 @@ class PseudoPair:
     T_inv: BlockDiagOperator
 
     def vec_phi(self, n: int) -> np.ndarray:
-        """Deformed basis vector: T(g) e_n in flat coordinates."""
-        e = np.zeros(self.a_op.dim, dtype=complex)
-        e[n] = 1.0
-        return self.T.apply(e)
+        """Deformed basis vector T(g) e_n in flat coordinates: column m of
+        the sector-L block of T(g), where n has sector label (L, m)."""
+        L, m = indexing.sector(*indexing.unflatten(n))
+        return self._in_sector(L, self.T.blocks[L][:, m])
 
     def vec_psi(self, n: int) -> np.ndarray:
-        """Dual basis vector: T((dagger g)^(-1)) e_n = (T(g)^dag)^{-1} e_n."""
-        e = np.zeros(self.a_op.dim, dtype=complex)
-        e[n] = 1.0
-        return self.T_inv.dagger().apply(e)
+        """Dual basis vector T((dagger g)^(-1)) e_n = (T(g)^{-1})^dag e_n: the
+        conjugate of row m of the sector-L block of T(g)^{-1}."""
+        L, m = indexing.sector(*indexing.unflatten(n))
+        return self._in_sector(L, self.T_inv.blocks[L][m].conj())
+
+    def _in_sector(self, L: int, values: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.a_op.dim, dtype=complex)
+        out[indexing.sector_range(L)] = values
+        return out
 
     def dual_lowering(self) -> TruncatedOperator:
         """The operator lowering the dual family (adjoint of b_op's role)."""
@@ -184,14 +188,18 @@ def cuntz_isometry(n: int, L_max: int) -> TruncatedOperator:
         raise ValueError(f"need 0 <= n <= L_max, got n = {n}")
     d = indexing.dim(L_max)
     mat = np.zeros((d, d), dtype=complex)
-    for m in range(L_max - n + 1):
-        mat[indexing.flatten(m, n), m] = 1.0
+    mat[cuntz_images(n, L_max), np.arange(cuntz_domain_dim(n, L_max))] = 1.0
     return TruncatedOperator(L_max, mat)
 
 
 def cuntz_domain_dim(n: int, L_max: int) -> int:
     """Number of basis columns on which the n-th isometry is defined."""
     return L_max - n + 1
+
+
+def cuntz_images(n: int, L_max: int) -> np.ndarray:
+    """Flat images flatten(m, n) of the n-th isometry's domain columns m."""
+    return np.array([indexing.flatten(m, n) for m in range(cuntz_domain_dim(n, L_max))])
 
 
 def metric_operators(g: GL2Matrix, L_max: int) -> tuple[TruncatedOperator, TruncatedOperator]:
@@ -250,17 +258,15 @@ def ladder_deviation(pair: PseudoPair) -> float:
 
 def cuntz_deviation(L_max: int) -> float:
     """Max deviation of S_m^dag S_n = delta_mn (identity on the n-th
-    isometry's domain) for m <= n, and of sum_n S_n S_n^dag = I."""
-    d = indexing.dim(L_max)
-    # partial permutations: sparse products keep the (L_max+1)(L_max+2)/2
-    # pairs cheap, and every entry of a product is an exact 0 or 1
-    shifts = [sparse.csr_array(cuntz_isometry(n, L_max).mat) for n in range(L_max + 1)]
-    total = sum(s @ s.conj().T for s in shifts).toarray() - np.eye(d)
+    isometry's domain) for m <= n, and of sum_n S_n S_n^dag = I, from the
+    image arrays: (S_m^dag S_n)[i, j] is 1 where image i of S_m is image j
+    of S_n (0 off the domains), and sum_n S_n S_n^dag counts the images."""
+    images = [cuntz_images(n, L_max) for n in range(L_max + 1)]
+    total = np.bincount(np.concatenate(images), minlength=indexing.dim(L_max)) - 1
     relations = (
-        (shifts[m].conj().T @ s_n).toarray()
-        - (m == n) * np.diag(np.arange(d) < cuntz_domain_dim(n, L_max))
-        for n, s_n in enumerate(shifts)
-        for m in range(n + 1)
+        (im_m[:, None] == im_n[None, :]) - (m == n) * np.eye(len(im_m), len(im_n))
+        for n, im_n in enumerate(images)
+        for m, im_m in enumerate(images[: n + 1])
     )
     return _max_abs(itertools.chain([total], relations))
 

@@ -9,8 +9,9 @@ with mode label (n1, n2) is
 
 equivalently the image of the normalized monomial z^{n1} conj(z)^{n2} under
 the contraction operator exp(-d/dz d/dconj z).  Inner products against the
-Gaussian measure dnu are evaluated exactly through moment contraction, so
-orthonormality is certified without quadrature error.
+Gaussian measure dnu are evaluated exactly through moment contraction; the
+float orthonormality check integrates node values instead
+(``deformed.biorth_gram`` at g = I).
 
 An integer backend is provided for golden tests: the unnormalized grid of
 sqrt(n1! n2!) h_{n1,n2} has integer coefficients and integer Gaussian inner
@@ -215,18 +216,6 @@ def inner(p: PolyCoeffs, q: PolyCoeffs) -> complex:
 
 def norm_sq(p: PolyCoeffs) -> float:
     return inner(p, p).real
-
-
-def orthonormality_deviation(max_degree: int) -> float:
-    """Max |<h_a, h_b> - delta_ab| over all mode pairs of degree <= max_degree
-    (float inner products); NaN if any inner product is NaN."""
-    modes = [(n1, L - n1) for L in range(max_degree + 1) for n1 in range(L + 1)]
-    polys = [hermite_coeffs(*m) for m in modes]
-    return float(np.max([
-        abs(inner(p, q) - (1.0 if i == j else 0.0))
-        for i, p in enumerate(polys)
-        for j, q in enumerate(polys[i:], i)
-    ]))
 
 
 # -- exact integer backend ---------------------------------------------------

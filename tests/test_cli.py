@@ -2,16 +2,20 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from pblab import acceptance, fock, gl2, hermite
+from pblab import acceptance, deformed, fock, gl2
 from pblab.acceptance import CriterionResult
 from pblab.cli import main, parse_complex, parse_gl2
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def readme_examples():
@@ -159,6 +163,32 @@ class TestOutputs:
         code, _ = run_cli(capsys, "deformed", "--g", "1,1,0,1", "--config", str(cfg))
         assert code == 2
 
+    def test_config_rejects_values_outside_the_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("check = bogus\n")
+        code = main(["fock", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "bogus" in captured.err
+
+
+class TestImports:
+    def test_battery_leaves_scipy_sparse_unloaded(self):
+        # scipy.sparse costs import time and resident memory on every run
+        code = (
+            "import sys, pblab.cli\n"
+            "from pblab import acceptance\n"
+            "acceptance.run_all()\n"
+            "assert 'scipy.sparse' not in sys.modules, sorted(m for m in sys.modules if 'sparse' in m)\n"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestReadmeExamples:
     @pytest.mark.parametrize(
@@ -212,12 +242,13 @@ def _nan_on_call(monkeypatch, module, name, nth):
 
 
 class TestNaNFails:
-    # each NaN lands in a term after the first: the second inner product, the
-    # second commutator, and (three blocks per trial) the second trial
+    # each NaN lands in a term after the first: the second family's node
+    # values, the second commutator, and (three blocks per trial) the second
+    # trial
     @pytest.mark.parametrize(
         "module, name, nth, argv",
         [
-            (hermite, "inner", 2, ["hermite", "--check", "orthonormality", "--max-degree", "3"]),
+            (deformed, "family_values", 2, ["hermite", "--check", "orthonormality", "--max-degree", "3"]),
             (fock, "commutator", 2, ["fock", "--l-max", "4", "--check", "ccr"]),
             (gl2, "rep_block", 5, ["rep", "--g", "1,1,0,1", "--L", "3", "--trials", "3"]),
         ],

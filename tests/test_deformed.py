@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import DeformedFamily, biorth_gram_moments
-from pblab import indexing
+from oracles import DeformedFamily, biorth_gram_moments, norm_identity_deviation_moments
+from pblab import deformed, indexing
 from pblab.deformed import (
     biorth_gram,
     deformed_coeffs,
@@ -14,6 +14,7 @@ from pblab.deformed import (
     family_values,
     norm_bound_violation,
     norm_bounds,
+    norm_identity_deviation,
     norm_sq,
     norm_sq_inner,
     riesz_growth,
@@ -183,6 +184,44 @@ class TestNorms:
                     a = norm_sq(g, n1, L - n1)
                     b = norm_sq_inner(g, n1, L - n1)
                     assert abs(a - b) <= 1e-10 * abs(a)
+
+
+def _norm_identity_matrices():
+    """The shear, diag(2, 1) and four seeded draws."""
+    rng = np.random.default_rng(2)
+    return [SHEAR, GL2Matrix.diagonal(2, 1)] + [random_gl2(rng) for _ in range(4)]
+
+
+class TestNormIdentity:
+    def test_exact_at_L16(self):
+        # the moment oracle reads up to 7e-11 on these matrices
+        for g in _norm_identity_matrices():
+            assert norm_identity_deviation(g, range(17)) <= 1e-13
+            assert norm_identity_deviation(g, (16,)) <= 1e-13
+
+    def test_moment_oracle_also_holds(self):
+        # criterion 4's degrees, where both routes certify the identity
+        for g in _norm_identity_matrices():
+            node = norm_identity_deviation(g, (2, 7, 12))
+            moments = norm_identity_deviation_moments(g, (2, 7, 12))
+            assert node <= 1e-13
+            assert moments <= 1e-10
+
+    def test_wrong_norm_is_detected(self, monkeypatch):
+        real = deformed.norm_sq
+        monkeypatch.setattr(deformed, "norm_sq", lambda g, n1, n2: real(g, n1, n2) * (1 + 1e-9 * (n1 == 3)))
+        assert norm_identity_deviation(SHEAR, (2, 7)) == pytest.approx(1e-9, rel=1e-3)
+
+    def test_nan_node_value_fails(self, monkeypatch):
+        real = deformed.family_values
+
+        def patched(g, L_max, z):
+            values = real(g, L_max, z)
+            values[-1, -1] = math.nan
+            return values
+
+        monkeypatch.setattr(deformed, "family_values", patched)
+        assert math.isnan(norm_identity_deviation(SHEAR, (1, 4)))
 
 
 class TestNormBounds:

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from pblab import indexing
+from pblab import fock, indexing
 from pblab.fock import (
     TruncatedOperator,
     commutator,
+    cuntz_deviation,
     cuntz_domain_dim,
+    cuntz_images,
     cuntz_isometry,
     deformed_two_mode,
     ladder,
@@ -25,7 +27,7 @@ from pblab.displacement import coherent_coefficients, resolution_check
 from pblab.quadrature import polar_scheme
 from pblab.quantize import quantize_regularized_oracle, unit_weight
 
-from oracles import qsum_magnitude, rep_block_mpmath
+from oracles import cuntz_deviation_dense, qsum_magnitude, rep_block_mpmath
 
 SHEAR = GL2Matrix(1, 1, 0, 1)
 L12 = 12
@@ -195,6 +197,14 @@ class TestPseudoPair:
         with pytest.raises(ValueError):
             pseudo_pair(GL2Matrix(1e5, 0, 0, 1e-5), 4)
 
+    def test_family_vectors_are_block_columns(self, shear_pair):
+        # T e_n and (T^{-1})^dag e_n applied blockwise to unit vectors
+        for pair in (shear_pair, pseudo_pair(random_gl2(np.random.default_rng(8)), 6)):
+            eye = np.eye(pair.a_op.dim)
+            for n in range(pair.a_op.dim):
+                assert np.array_equal(pair.vec_phi(n), pair.T.apply(eye[n]))
+                assert np.array_equal(pair.vec_psi(n), pair.T_inv.dagger().apply(eye[n]))
+
 
 def dense_conjugation(g, L_max, x):
     """Dense-product oracle for T(g) x T(g)^{-1}."""
@@ -306,6 +316,27 @@ class TestCuntz:
             assert np.max(np.abs(lowered - B.mat[:k, :k])) == 0.0
             killed = (S.conj().T @ a2.mat @ S)[:k, :k]
             assert np.max(np.abs(killed)) == 0.0
+
+    def test_images_are_the_nonzero_rows(self):
+        for n in (0, 4, L12):
+            rows, cols = np.nonzero(cuntz_isometry(n, L12).mat)
+            assert np.array_equal(cols, np.arange(cuntz_domain_dim(n, L12)))
+            assert np.array_equal(rows, cuntz_images(n, L12))
+
+    @pytest.mark.parametrize("L_max", range(1, 9))
+    def test_deviation_matches_dense_products(self, L_max):
+        assert cuntz_deviation(L_max) == cuntz_deviation_dense(L_max) == 0.0
+
+    def test_deviation_matches_dense_products_on_a_broken_map(self, monkeypatch):
+        # the images of S_1 collide with those of S_0: S_0^dag S_1 gains ones
+        # and the range projections miss some indices and double others
+        real = fock.cuntz_images
+        monkeypatch.setattr(fock, "cuntz_images", lambda n, L: real(0 if n == 1 else n, L)[: L - n + 1])
+        for L_max in (2, 5, 8):
+            assert cuntz_deviation(L_max) == cuntz_deviation_dense(L_max) == 1.0
+
+    def test_deviation_at_L45(self):
+        assert cuntz_deviation(45) == 0.0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
