@@ -29,11 +29,10 @@ import math
 from dataclasses import dataclass
 
 from .gl2 import GL2Matrix, _positive_parts, rep_diag_log
-from .special import LogValue
 
 
-def asympt_fixed_d(h: GL2Matrix, n1: int, d: int) -> LogValue:
-    """Fixed-difference estimate at (n1, n2 = n1 + d), as a LogValue."""
+def asympt_fixed_d(h: GL2Matrix, n1: int, d: int) -> float:
+    """Logarithm of the fixed-difference estimate at (n1, n2 = n1 + d)."""
     if n1 < 1:
         raise ValueError(f"need n1 >= 1, got {n1}")
     if d < 0:
@@ -42,14 +41,13 @@ def asympt_fixed_d(h: GL2Matrix, n1: int, d: int) -> LogValue:
     if not 0 < r < 1:
         raise ValueError(f"estimate prefactor is singular outside 0 < r < 1, got r = {r}")
     n2 = n1 + d
-    log_val = (
+    return (
         n1 * math.log(h11)
         + n2 * math.log(h22)
         - 0.5 * math.log(2 * math.pi * n1)
         - 0.25 * math.log(4 * r)
         + (n1 + n2 + 1) * math.log1p(math.sqrt(r))
     )
-    return LogValue.from_log(log_val)
 
 
 @dataclass(frozen=True)
@@ -100,15 +98,15 @@ def laplace_root(r: float, nu: float) -> LaplaceData:
     return LaplaceData(r, nu, xi, _A(xi, r, nu), app)
 
 
-def asympt_laplace(h: GL2Matrix, n1: int, nu: float) -> LogValue:
-    """Fixed-ratio estimate at (n1, n2 = round(nu n1)), as a LogValue."""
+def asympt_laplace(h: GL2Matrix, n1: int, nu: float) -> float:
+    """Logarithm of the fixed-ratio estimate at (n1, n2 = round(nu n1))."""
     if n1 < 1:
         raise ValueError(f"need n1 >= 1, got {n1}")
     h11, h22, r = _positive_parts(h)
     data = laplace_root(r, nu)
     xi = data.xi_plus
     n2 = round(nu * n1)
-    log_val = (
+    return (
         n1 * math.log(h11)
         + n2 * math.log(h22)
         - 0.5 * math.log(2 * math.pi * n1)
@@ -116,7 +114,6 @@ def asympt_laplace(h: GL2Matrix, n1: int, nu: float) -> LogValue:
         - n1 * math.log1p(-xi)
         - n2 * math.log1p(-xi / nu)
     )
-    return LogValue.from_log(log_val)
 
 
 def ratio_row(h: GL2Matrix, n1: int, *, d: int | None = None, nu: float | None = None) -> dict:
@@ -131,11 +128,11 @@ def ratio_row(h: GL2Matrix, n1: int, *, d: int | None = None, nu: float | None =
     h11, h22, r = _positive_parts(h)
     if d is not None:
         n2 = n1 + d
-        log_est = asympt_fixed_d(h, n1, d).log_magnitude
+        log_est = asympt_fixed_d(h, n1, d)
         nu_or_d = float(d)
     else:
         n2 = round(nu * n1)
-        log_est = asympt_laplace(h, n1, nu).log_magnitude
+        log_est = asympt_laplace(h, n1, nu)
         nu_or_d = float(nu)
     log_exact = rep_diag_log(h, n1, n2)
     return {

@@ -495,13 +495,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
             dest = key.replace("-", "_")
             if dest not in known:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r} for {sub_name!r}")
-            overrides[dest] = value
+            overrides[dest] = (line_no, key, value)
     for action in sub_parser._actions:
         if action.dest in overrides:
-            raw = overrides.pop(action.dest)
-            value = action.type(raw) if action.type else raw
+            line_no, key, raw = overrides.pop(action.dest)
+            try:
+                value = action.type(raw) if action.type else raw
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{line_no}: {key} = {raw!r} does not parse: {exc}") from exc
             if action.choices is not None and value not in action.choices:
-                raise ConfigError(f"{path}: {action.dest} = {raw!r} is not one of {list(action.choices)}")
+                raise ConfigError(f"{path}:{line_no}: {key} = {raw!r} is not one of {list(action.choices)}")
             sub_parser.set_defaults(**{action.dest: value})
     return argv
 

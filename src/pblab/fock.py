@@ -272,9 +272,12 @@ def cuntz_deviation(L_max: int) -> float:
 
 
 def metric_deviation(g: GL2Matrix, L_max: int) -> float:
-    """Max deviation of S_phi S_psi = I and of the Hermiticity of S_phi."""
-    s_phi, s_psi = metric_operators(g, L_max)
-    return _max_abs([s_phi.mat @ s_psi.mat - np.eye(s_phi.dim), s_phi.mat - s_phi.mat.conj().T])
+    """Max deviation of S_phi S_psi = I and of the Hermiticity of S_phi,
+    block by block: both metrics are T(h) and T(h^{-1}) with h = g gdag."""
+    h = g @ g.dagger()
+    pairs = zip(rep_full(h, L_max).blocks, rep_full(h.inv(), L_max).blocks)
+    residuals = ((p @ q - np.eye(len(p)), p - p.conj().T) for p, q in pairs)
+    return _max_abs(itertools.chain.from_iterable(residuals))
 
 
 def save_operator(op: TruncatedOperator, basepath) -> None:

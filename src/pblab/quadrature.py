@@ -5,15 +5,17 @@ Two measures appear throughout the package:
     dnu    = e^{-|z|^2} d^2z / pi      (normalized Gaussian measure)
     plane  = d^2z / pi                 (flat measure; integrand must decay)
 
-Polynomial integrals against dnu are exact: through moments
-(``gaussian_moment``), or through tensor Gauss-Hermite when the degree is
-within the scheme's order.  Other schemes are for non-polynomial integrands
-such as weight functions and displacement kernels.  Schemes are immutable
-and node evaluation order is fixed, so results are bit-reproducible.
+A scheme is nodes plus positive weights for the measure its constructor
+names, and ``integrate`` is their weighted sum.  Polynomial integrals
+against dnu are exact: through moments (``gaussian_moment``), or through
+``tensor_hermite_scheme`` when the degree is within its order.
+``polar_scheme`` carries non-polynomial integrands against d^2z/pi, such as
+weight functions and displacement kernels.  Schemes are immutable and node
+evaluation order is fixed, so results are bit-reproducible.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -21,18 +23,6 @@ from scipy.special import roots_laguerre
 
 # float(n!) for n <= 170, correctly rounded; 171! overflows a double to inf
 FACTORIALS = np.array([float(math.factorial(n)) for n in range(171)] + [math.inf])
-
-
-class ConvergenceError(RuntimeError):
-    """Doubling the node count moved the result by more than the tolerance."""
-
-    def __init__(self, coarse, fine, tol):
-        self.coarse = coarse
-        self.fine = fine
-        self.tol = tol
-        super().__init__(
-            f"quadrature not converged: |{coarse} - {fine}| = {abs(coarse - fine):.3e} > {tol:.1e}"
-        )
 
 
 def exact_gaussian_moment(a: int, b: int) -> int:
@@ -52,23 +42,12 @@ def gaussian_moment(a: int, b: int) -> float:
 
 @dataclass(frozen=True)
 class PlaneScheme:
-    """Nodes and positive weights for plane integrals.
+    """Nodes and positive weights for the measure the constructor names."""
 
-    ``native`` records which measure the weights encode: "gaussian" weights
-    sum f against dnu (the Gaussian is inside the weights), "plain" weights
-    sum f against d^2z/pi (the integrand must supply its own decay).
-    """
-
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
-    native: str
-    params: tuple = field(default=())
 
     def __post_init__(self):
-        if self.native not in ("gaussian", "plain"):
-            raise ValueError(f"unknown native measure {self.native!r}")
         if np.any(self.weights <= 0):
             raise ValueError("scheme weights must be positive")
 
@@ -86,7 +65,7 @@ def tensor_hermite_scheme(n: int) -> PlaneScheme:
     wx, wy = np.meshgrid(w, w, indexing="ij")
     nodes = (zx + 1j * zy).ravel()
     weights = (wx * wy).ravel() / math.pi
-    return PlaneScheme("tensor-hermite", nodes, weights, 2 * n - 1, "gaussian", (n,))
+    return PlaneScheme(nodes, weights)
 
 
 def polar_scheme(nr: int, ntheta: int, radial_scale: float = 1.0) -> PlaneScheme:
@@ -96,6 +75,7 @@ def polar_scheme(nr: int, ntheta: int, radial_scale: float = 1.0) -> PlaneScheme
     e^{-radial_scale * t} * (polynomial in t of degree <= 2 nr - 1); the
     angular rule kills harmonics e^{i k theta} exactly for 0 < |k| < ntheta.
     ``radial_scale`` should match the integrand's dominant Gaussian decay.
+    Nodes run radius-major: node i * ntheta + j sits at radius i, angle j.
     """
     if nr < 1 or ntheta < 1:
         raise ValueError(f"node counts must be >= 1, got ({nr}, {ntheta})")
@@ -110,44 +90,9 @@ def polar_scheme(nr: int, ntheta: int, radial_scale: float = 1.0) -> PlaneScheme
     r = np.sqrt(t)
     nodes = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
     weights = np.repeat(radial_w / ntheta, ntheta)
-    return PlaneScheme("polar", nodes, weights, 2 * nr - 1, "plain", (nr, ntheta, radial_scale))
+    return PlaneScheme(nodes, weights)
 
 
-def refine(scheme: PlaneScheme) -> PlaneScheme:
-    """Same scheme with all node counts doubled."""
-    if scheme.kind == "tensor-hermite":
-        return tensor_hermite_scheme(2 * scheme.params[0])
-    nr, ntheta, scale = scheme.params
-    return polar_scheme(2 * nr, 2 * ntheta, scale)
-
-
-def _evaluate(f, nodes: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(nodes))
-        if vals.shape == nodes.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([f(z) for z in nodes])
-
-
-def integrate(f, scheme: PlaneScheme, measure: str = "dnu", check_tol: float | None = None):
-    """Weighted node sum of f against the requested measure ("dnu" or "plane").
-
-    With ``check_tol`` set, the integral is recomputed on the doubled scheme
-    and a ConvergenceError is raised if the two values differ by more than
-    the tolerance (the caller's guard for improper d^2z/pi integrals).
-    """
-    if measure not in ("dnu", "plane"):
-        raise ValueError(f"unknown measure {measure!r}")
-    vals = _evaluate(f, scheme.nodes)
-    if scheme.native == "gaussian" and measure == "plane":
-        vals = vals * np.exp(np.abs(scheme.nodes) ** 2)
-    elif scheme.native == "plain" and measure == "dnu":
-        vals = vals * np.exp(-np.abs(scheme.nodes) ** 2)
-    result = complex(np.sum(scheme.weights * vals))
-    if check_tol is not None:
-        finer = integrate(f, refine(scheme), measure=measure)
-        if abs(result - finer) > check_tol:
-            raise ConvergenceError(result, finer, check_tol)
-    return result
+def integrate(f, scheme: PlaneScheme) -> complex:
+    """Weighted node sum of the vectorized f against the scheme's measure."""
+    return complex(np.sum(scheme.weights * f(scheme.nodes)))

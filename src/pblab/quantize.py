@@ -40,7 +40,7 @@ from . import indexing
 from .displacement import displacement_radial
 from .fock import PseudoPair, TruncatedOperator, commutator, pseudo_pair, safe_part
 from .gl2 import GL2Matrix, rep_full
-from .quadrature import PlaneScheme, polar_scheme
+from .quadrature import polar_scheme
 
 
 @dataclass(frozen=True)
@@ -112,17 +112,14 @@ def quantize_regularized_oracle(
     w: WeightSpec,
     g: GL2Matrix,
     L_max: int,
-    scheme: PlaneScheme | None = None,
 ) -> TruncatedOperator:
     """Numeric A_{f} for f in {z e^{-lam|z|^2}, conj(z) e^{-lam|z|^2},
-    e^{-lam|z|^2}}, by plane quadrature of F(-z) D(z) w(z)."""
-    if scheme is None:
-        scheme = polar_scheme(64, 64, radial_scale=1 / lam + 0.5)
-    if scheme.kind != "polar":
-        raise ValueError("the oracle needs a polar scheme (radial/angular structure)")
-    nr, ntheta, scale = scheme.params
-    d = indexing.dim(L_max)
+    e^{-lam|z|^2}}, by plane quadrature of F(-z) D(z) w(z) on a 64 x 64
+    polar scheme."""
     sft = _sft_factor(kind, lam)
+    nr = ntheta = 64
+    scheme = polar_scheme(nr, ntheta, radial_scale=1 / lam + 0.5)
+    d = indexing.dim(L_max)
 
     nodes = scheme.nodes.reshape(nr, ntheta)
     weights = scheme.weights.reshape(nr, ntheta)

@@ -2,13 +2,12 @@
 binomials, and log-domain utilities.
 
 Every polynomial here is evaluated from its explicit finite sum (no
-recurrences, no analytic continuation).  Log-domain helpers
-carry a sign so that quantities far beyond double-precision range (binomials
-like C(400, 200), factorials of 10^6) can still be combined and compared.
+recurrences, no analytic continuation).  Log-domain helpers keep quantities
+far beyond double-precision range (binomials like C(400, 200), factorials
+of 10^6) comparable as logarithms.
 """
 
 import math
-from dataclasses import dataclass
 
 _NEG_INF = float("-inf")
 
@@ -53,51 +52,6 @@ def log_sum_exp(log_terms) -> float:
         return _NEG_INF
     top = max(terms)
     return top + math.log(sum(math.exp(t - top) for t in terms))
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A real number stored as (sign, ln|value|); sign 0 encodes exact zero."""
-
-    log_magnitude: float
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-        if self.sign == 0 and self.log_magnitude != _NEG_INF:
-            raise ValueError("zero LogValue must carry log_magnitude = -inf")
-
-    @classmethod
-    def from_float(cls, x: float) -> "LogValue":
-        if x == 0.0:
-            return cls(_NEG_INF, 0)
-        return cls(math.log(abs(x)), 1 if x > 0 else -1)
-
-    @classmethod
-    def from_log(cls, log_magnitude: float, sign: int = 1) -> "LogValue":
-        return cls(log_magnitude, sign)
-
-    @property
-    def value(self) -> float:
-        """Float value; overflows to +-inf when the magnitude exceeds range."""
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.log_magnitude)
-        except OverflowError:
-            return self.sign * math.inf
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0 or other.sign == 0:
-            return LogValue(_NEG_INF, 0)
-        return LogValue(self.log_magnitude + other.log_magnitude, self.sign * other.sign)
-
-    def scaled(self, log_factor: float) -> "LogValue":
-        """Multiply by exp(log_factor) without leaving the log domain."""
-        if self.sign == 0:
-            return self
-        return LogValue(self.log_magnitude + log_factor, self.sign)
 
 
 def jacobi_sum(n: int, alpha: float, beta: float, x):

@@ -7,7 +7,8 @@ element, the hypergeometric form of a Jacobi polynomial, the finite sum of
 a generalized Laguerre polynomial, the double-precision and 40-digit
 Laguerre closed forms of the displacement elements, the exact-rational
 contraction transform, the r = 1 closed forms of the diagonal, the dense products of the shift
-isometries, and, from coefficient grids and exact moments, the
+isometries, of the displacement composition and of the metric pair, and,
+from coefficient grids and exact moments, the
 biorthogonality Gram, the orthonormality Gram and the norm identity.
 Nothing in the library calls them.
 """
@@ -23,7 +24,8 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from pblab import indexing
 from pblab.deformed import deformed_coeffs, norm_sq, norm_sq_inner
-from pblab.fock import cuntz_domain_dim, cuntz_isometry
+from pblab.displacement import canonical_displacement, wedge
+from pblab.fock import cuntz_domain_dim, cuntz_isometry, metric_operators
 from pblab.gl2 import GL2Matrix, dual
 from pblab.hermite import hermite_coeffs, inner
 from pblab.special import binomial_real, log_binomial, log_factorial
@@ -274,4 +276,21 @@ def cuntz_deviation_dense(L_max: int) -> float:
         for m in range(n + 1):
             domain = np.diag(np.arange(d) < cuntz_domain_dim(n, L_max))
             residuals.append(shifts[m].conj().T @ s_n - (m == n) * domain)
+    return float(np.max([np.max(np.abs(r)) for r in residuals]))
+
+
+def compose_check_full(z1: complex, z2: complex, L_max: int, check_L: int) -> float:
+    """The displacement composition law on sectors L <= check_L, read off the
+    full d x d product D(z1) D(z2)."""
+    d = indexing.dim(L_max)
+    prod = canonical_displacement(z1, d) @ canonical_displacement(z2, d)
+    direct = np.exp(-1j * wedge(z1, z2)) * canonical_displacement(z1 + z2, d)
+    k = indexing.dim(check_L)
+    return float(np.max(np.abs(prod[:k, :k] - direct[:k, :k])))
+
+
+def metric_deviation_dense(g: GL2Matrix, L_max: int) -> float:
+    """S_phi S_psi = I and the Hermiticity of S_phi by dense d x d products."""
+    s_phi, s_psi = (op.mat for op in metric_operators(g, L_max))
+    residuals = [s_phi @ s_psi - np.eye(len(s_phi)), s_phi - s_phi.conj().T]
     return float(np.max([np.max(np.abs(r)) for r in residuals]))

@@ -121,6 +121,10 @@ class TestSubcommands:
         code, _ = run_cli(capsys, "asympt", "--r", "1.5", "--n1", "10", "--d", "0")
         assert code == 2
 
+    def test_zero_regularizer_exits_two(self, capsys):
+        code, out = run_cli(capsys, "quantize", "--check", "oracle", "--regularizer", "0")
+        assert code == 2 and out == ""
+
     def test_exit_code_one_on_failed_check(self, capsys):
         code, out = run_cli(
             capsys, "rep", "--g", "1,1,0,1", "--L", "4", "--check", "inverse", "--tol", "1e-30"
@@ -171,6 +175,15 @@ class TestOutputs:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error:") and "bogus" in captured.err
+
+    def test_config_names_a_value_that_does_not_parse(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# fock setup\nl-max = abc\n")
+        code = main(["fock", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg}:2: l-max = 'abc'")
 
 
 class TestImports:

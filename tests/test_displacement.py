@@ -27,7 +27,7 @@ from pblab.fock import pseudo_pair
 from pblab.gl2 import GL2Matrix, dual, random_gl2, rep_full
 from pblab.quadrature import polar_scheme
 
-from oracles import displacement_closed_form, displacement_mpmath, laguerre
+from oracles import compose_check_full, displacement_closed_form, displacement_mpmath, laguerre
 
 SHEAR = GL2Matrix(1, 1, 0, 1)
 
@@ -177,6 +177,14 @@ class TestComposition:
         assert wedge(0.5, 0.7) == 0.0
         assert compose_check(0.5, 0.7, 30, check_L=10) <= 1e-6
 
+    @pytest.mark.parametrize("L_max", [4, 12, 20, 30])
+    def test_matches_full_product(self, L_max):
+        # the library multiplies only the rows and columns of the checked corner
+        for z1, z2 in [(1.0, 1j), (0.5, 0.7), (3 - 2j, 0.5j), (0.8 + 0.1j, -0.8 - 0.1j)]:
+            for check_L in (0, L_max // 2, L_max - 1):
+                dev = compose_check(z1, z2, L_max, check_L=check_L)
+                assert abs(dev - compose_check_full(z1, z2, L_max, check_L)) <= 1e-15
+
     def test_deviation_floor_reached_by_L20(self):
         devs = [compose_check(1.0, 1j, lm, check_L=10) for lm in (20, 30, 40)]
         # tail error is already below roundoff at L_max = 20: no growth allowed
@@ -264,10 +272,6 @@ class TestResolution:
         scheme = polar_scheme(16, 4)
         dev = resolution_check(GL2Matrix.identity(), 1, scheme=scheme)
         assert dev <= 1e-10
-
-    def test_node_doubling_stability(self):
-        dev = resolution_check(SHEAR, 8, check_tol=1e-9)
-        assert dev <= 1e-9
 
     def test_radial_tail_diagnostic(self):
         # the 27-th moment keeps ~7% of its mass beyond |z| = 6, which is why

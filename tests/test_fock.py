@@ -27,7 +27,7 @@ from pblab.displacement import coherent_coefficients, resolution_check
 from pblab.quadrature import polar_scheme
 from pblab.quantize import quantize_regularized_oracle, unit_weight
 
-from oracles import cuntz_deviation_dense, qsum_magnitude, rep_block_mpmath
+from oracles import cuntz_deviation_dense, metric_deviation_dense, qsum_magnitude, rep_block_mpmath
 
 SHEAR = GL2Matrix(1, 1, 0, 1)
 L12 = 12
@@ -387,6 +387,16 @@ class TestMetricOperators:
             assert S_phi.mat[n, n].real == pytest.approx(
                 rep_diag(g_gdag, n1, n2).real, rel=1e-11
             )
+
+    @pytest.mark.parametrize("L_max", [1, 2, 6, 12, 20, 30])
+    def test_metric_deviation_matches_dense_products(self, L_max):
+        # the blockwise residuals against the dense d x d ones, whose
+        # off-diagonal blocks are exact zeros
+        rng = np.random.default_rng(3)
+        draws = [random_gl2(rng, 0.8, 1.3) for _ in range(2)]
+        for g in [SHEAR, GL2Matrix(2, 0, 0, 1), GL2Matrix(1.1, 0.2, 0.1, 0.9), *draws]:
+            dense = metric_deviation_dense(g, L_max)
+            assert fock.metric_deviation(g, L_max) == pytest.approx(dense, rel=1e-12, abs=1e-15)
 
     def test_gram_diagonal_matches_norm_sq(self):
         from pblab.deformed import norm_sq

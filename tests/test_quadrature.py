@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from pblab.quadrature import (
-    ConvergenceError,
     PlaneScheme,
     exact_gaussian_moment,
     gaussian_moment,
     integrate,
     polar_scheme,
-    refine,
     tensor_hermite_scheme,
 )
+
+
+def gaussian(z):
+    """Density of dnu against d^2z/pi."""
+    return np.exp(-np.abs(z) ** 2)
 
 
 class TestGaussianMoment:
@@ -44,7 +47,7 @@ class TestSchemes:
             for b in range(8):
                 if a + b > 2 * n - 2:
                     continue
-                val = integrate(lambda z: np.conj(z) ** a * z**b, sch, "dnu")
+                val = integrate(lambda z: np.conj(z) ** a * z**b, sch)
                 ref = gaussian_moment(a, b)
                 assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
 
@@ -54,50 +57,51 @@ class TestSchemes:
         zb, z = np.conj(sch.nodes), sch.nodes
         for a in range(2 * n):
             for b in range(2 * n - a):
-                val = integrate(lambda _: zb**a * z**b, sch, "dnu")
+                val = integrate(lambda _: zb**a * z**b, sch)
                 # scale: the integral of the modulus |z|^(a+b), which is a! when a == b
                 scale = math.gamma((a + b) / 2 + 1)
                 assert abs(val - gaussian_moment(a, b)) <= 1e-13 * max(1.0, scale), (a, b)
 
     def test_tensor_hermite_zzbar(self):
         sch = tensor_hermite_scheme(8)
-        assert abs(integrate(lambda z: z * np.conj(z), sch, "dnu") - 1.0) < 1e-14
+        assert abs(integrate(lambda z: z * np.conj(z), sch) - 1.0) < 1e-14
 
     def test_polar_half_gaussian_against_plane(self):
         # int e^{-|z|^2/2} d^2z/pi = 2
         sch = polar_scheme(64, 64)
-        val = integrate(lambda z: np.exp(-np.abs(z) ** 2 / 2), sch, "plane")
+        val = integrate(lambda z: np.exp(-np.abs(z) ** 2 / 2), sch)
         assert abs(val - 2.0) < 1e-10
 
     def test_polar_radial_scale_matches_integrand(self):
         sch = polar_scheme(32, 16, radial_scale=0.5)
-        val = integrate(lambda z: np.exp(-np.abs(z) ** 2 / 2), sch, "plane")
+        val = integrate(lambda z: np.exp(-np.abs(z) ** 2 / 2), sch)
         assert abs(val - 2.0) < 1e-13
 
     def test_zero_function(self):
         for sch in (tensor_hermite_scheme(4), polar_scheme(8, 8)):
-            assert integrate(lambda z: 0.0 * z, sch, "dnu") == 0.0
+            assert integrate(lambda z: 0.0 * z, sch) == 0.0
 
     def test_unit_function_against_dnu(self):
-        for sch in (tensor_hermite_scheme(12), polar_scheme(24, 8)):
-            assert abs(integrate(lambda z: 1.0 + 0 * z, sch, "dnu") - 1.0) < 1e-12
+        assert abs(integrate(lambda z: 1.0 + 0 * z, tensor_hermite_scheme(12)) - 1.0) < 1e-12
+        assert abs(integrate(gaussian, polar_scheme(24, 8)) - 1.0) < 1e-12
 
     def test_polar_moments_against_dnu(self):
         sch = polar_scheme(32, 32)
         for a, b in [(0, 0), (1, 1), (3, 3), (2, 4), (5, 0)]:
-            val = integrate(lambda z: np.conj(z) ** a * z**b, sch, "dnu")
+            val = integrate(lambda z: np.conj(z) ** a * z**b * gaussian(z), sch)
             assert abs(val - gaussian_moment(a, b)) <= 1e-12 * max(1.0, gaussian_moment(a, a))
 
     def test_weight_operator_diagonal_seed_case(self):
         # s = -1, n = 0 slice of the isotropic weight family: value 1
         sch = polar_scheme(48, 8)
-        val = integrate(lambda z: np.exp(-np.abs(z) ** 2), sch, "plane")
+        val = integrate(gaussian, sch)
         assert abs(val - 1.0) < 1e-12
 
     def test_scheme_constructors_and_validation(self):
-        sch = polar_scheme(8, 4, radial_scale=2.0)
-        assert sch.kind == "polar" and sch.params == (8, 4, 2.0)
-        assert tensor_hermite_scheme(3).order == 5
+        # radius-major node order, which the quantization oracle reshapes by
+        radii = np.abs(polar_scheme(8, 4, radial_scale=2.0).nodes).reshape(8, 4)
+        assert np.all(radii == radii[:, :1]) and np.all(np.diff(radii[:, 0]) > 0)
+        assert tensor_hermite_scheme(3).nodes.shape == (9,)
         with pytest.raises(ValueError):
             polar_scheme(0, 4)
         with pytest.raises(ValueError):
@@ -109,38 +113,5 @@ class TestSchemes:
         for sch in (tensor_hermite_scheme(16), polar_scheme(64, 64)):
             assert np.all(sch.weights > 0)
         with pytest.raises(ValueError):
-            PlaneScheme("polar", np.array([0j]), np.array([-1.0]), 1, "plain")
+            PlaneScheme(np.array([0j]), np.array([-1.0]))
 
-
-class TestIntegrate:
-    def test_refinement_stability(self):
-        sch = polar_scheme(32, 32)
-        fine = refine(sch)
-        assert fine.params[:2] == (64, 64)
-        f = lambda z: np.exp(-np.abs(z) ** 2 / 2)
-        v1 = integrate(f, sch, "plane")
-        v2 = integrate(f, fine, "plane")
-        assert abs(v1 - v2) < 1e-8
-
-    def test_convergence_check_passes_for_decaying_integrand(self):
-        sch = polar_scheme(32, 16)
-        val = integrate(
-            lambda z: np.exp(-np.abs(z) ** 2 / 2), sch, "plane", check_tol=1e-8
-        )
-        assert abs(val - 2.0) < 1e-9
-
-    def test_convergence_check_raises_for_bad_integrand(self):
-        # slowly decaying integrand (much slower than the radial scale):
-        # node doubling keeps shifting the answer
-        sch = polar_scheme(4, 4)
-        with pytest.raises(ConvergenceError):
-            integrate(lambda z: 1.0 / (1.0 + np.abs(z) ** 2), sch, "plane", check_tol=1e-10)
-
-    def test_scalar_callable_fallback(self):
-        sch = polar_scheme(8, 8)
-        val = integrate(lambda z: math.exp(-abs(z) ** 2), sch, "plane")
-        assert abs(val - 1.0) < 1e-12
-
-    def test_unknown_measure_rejected(self):
-        with pytest.raises(ValueError):
-            integrate(lambda z: z, polar_scheme(4, 4), "lebesgue")

@@ -6,7 +6,6 @@ import pytest
 from pblab import indexing
 from pblab.fock import pseudo_pair
 from pblab.gl2 import GL2Matrix
-from pblab.quadrature import polar_scheme
 from pblab.quantize import (
     WeightSpec,
     drift_weight,
@@ -100,9 +99,7 @@ class TestRegularizedOracle:
         assert np.max(np.abs(orc.mat - np.diag(np.diag(orc.mat)))) <= 1e-12
 
     def test_unity_quantization_approaches_identity(self):
-        orc = quantize_regularized_oracle(
-            "one", 1e-3, unit_weight(), IDENT, 8, polar_scheme(96, 64, radial_scale=1e3 + 0.5)
-        )
+        orc = quantize_regularized_oracle("one", 1e-3, unit_weight(), IDENT, 8)
         k = indexing.dim(4)
         assert np.max(np.abs((orc.mat - np.eye(orc.dim))[:k, :k])) <= 0.02
 
@@ -123,9 +120,7 @@ class TestRegularizedOracle:
         # criterion 11, the same comparison passes for a deformed pair too
         lam = 1e-3
         pair = pseudo_pair(SHEAR, 8)
-        orc = quantize_regularized_oracle(
-            "z", lam, unit_weight(), SHEAR, 8, polar_scheme(96, 64, radial_scale=1 / lam + 0.5)
-        )
+        orc = quantize_regularized_oracle("z", lam, unit_weight(), SHEAR, 8)
         k = indexing.dim(4)
         dev = np.max(np.abs((orc.mat - pair.a_op.mat)[:k, :k]))
         assert dev <= 0.02 * np.max(np.abs(pair.a_op.mat[:k, :k]))
@@ -145,7 +140,3 @@ class TestRegularizedOracle:
             quantize_regularized_oracle("w", 0.01, unit_weight(), IDENT, 4)
         with pytest.raises(ValueError):
             quantize_regularized_oracle("z", -1.0, unit_weight(), IDENT, 4)
-        from pblab.quadrature import tensor_hermite_scheme
-
-        with pytest.raises(ValueError):
-            quantize_regularized_oracle("z", 0.01, unit_weight(), IDENT, 4, tensor_hermite_scheme(8))

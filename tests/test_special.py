@@ -6,7 +6,6 @@ import pytest
 import scipy.special as sp
 
 from pblab.special import (
-    LogValue,
     binomial_real,
     jacobi_sum,
     log_binomial,
@@ -158,21 +157,6 @@ class TestLogDomain:
         vals = [1e-3, 2.5, 7.0]
         assert math.isclose(log_sum_exp(np.log(vals)), math.log(sum(vals)), rel_tol=1e-14)
         assert log_sum_exp([]) == float("-inf")
-
-    def test_logvalue_roundtrip_and_product(self):
-        a = LogValue.from_float(-3.0)
-        b = LogValue.from_float(0.5)
-        assert a.sign == -1 and math.isclose(a.value, -3.0)
-        assert math.isclose((a * b).value, -1.5, rel_tol=1e-14)
-        zero = LogValue.from_float(0.0)
-        assert zero.sign == 0 and (zero * a).value == 0.0
-        assert math.isclose(a.scaled(math.log(2)).value, -6.0, rel_tol=1e-14)
-
-    def test_logvalue_validation(self):
-        with pytest.raises(ValueError):
-            LogValue(1.0, 2)
-        with pytest.raises(ValueError):
-            LogValue(1.0, 0)
 
     def test_binomial_real_fraction_exact(self):
         assert binomial_real(Fraction(7, 2), 2) == Fraction(35, 8)
