@@ -115,18 +115,16 @@ def criterion_02_construction_equivalence() -> CriterionResult:
     tol = 1e-10
     rng = np.random.default_rng(0)
     worst = 0.0
+    contracted = [[hermite_via_contraction(mp, L - mp) for mp in range(L + 1)] for L in range(9)]
     for _ in range(10):
         g = random_gl2(rng)
-        for L in range(9):
+        for L, grids in enumerate(contracted):
             block = rep_block(g, L)
             for n1 in range(L + 1):
                 a = deformed_coeffs(g, n1, L - n1)
                 b = deformed_via_rep(g, n1, L - n1)
                 c = sum(
-                    (
-                        hermite_via_contraction(mp, L - mp).scaled(block[mp, n1])
-                        for mp in range(L + 1)
-                    ),
+                    (h.scaled(block[mp, n1]) for mp, h in enumerate(grids)),
                     start=a.scaled(0.0),
                 )
                 worst = _worst(worst, float(np.max(np.abs((a - b).coeff))))

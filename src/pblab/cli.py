@@ -192,6 +192,8 @@ def cmd_deformed(args) -> int:
         worst = norm_identity_deviation(g, range(args.l_max + 1))
         results.append(_check_row("norm-identity-rel", worst, args.tol))
     elif args.check == "table":
+        if args.l_max < 0:
+            raise ConfigError(f"need --l-max >= 0, got {args.l_max}")
         for L in range(args.l_max + 1):
             for n1 in range(L + 1):
                 n2 = L - n1
@@ -321,8 +323,7 @@ def cmd_quantize(args) -> int:
         if args.s >= 1:
             raise ConfigError("isotropic family needs s < 1")
         for row in weight_diagonal_table(args.s, args.n_max):
-            row.pop("rel_err")
-            row["pass"] = bool(row["abs_err"] <= args.tol * max(1.0, abs(row["closed_form"])))
+            row["pass"] = bool(row.pop("rel_err") <= args.tol)
             results.append(row)
         params["n_max"] = args.n_max
     elif args.check == "pseudo-canonical":

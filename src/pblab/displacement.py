@@ -94,15 +94,22 @@ def canonical_displacement(z: complex, dim: int) -> np.ndarray:
     return displacement_radial(abs(z) ** 2, dim) * phase
 
 
-def compose_check(z1: complex, z2: complex, L_max: int, check_L: int | None = None) -> float:
+def _check_dim(check_L: int, L_max: int) -> int:
+    """Dimension of sectors L <= check_L, which must lie inside the truncation."""
+    if not 0 <= check_L <= L_max:
+        raise ValueError(f"need 0 <= check_L <= L_max = {L_max}, got {check_L}")
+    return indexing.dim(check_L)
+
+
+def compose_check(z1: complex, z2: complex, L_max: int, check_L: int) -> float:
     """Max deviation of D(z1) D(z2) - e^{-i z1^z2} D(z1+z2) on low sectors.
 
     The law holds exactly in infinite dimension; the truncated product loses
     only tail terms, so the deviation on sectors L <= check_L shrinks as
     L_max grows.
     """
+    k = _check_dim(check_L, L_max)
     d = indexing.dim(L_max)
-    k = indexing.dim(check_L) if check_L is not None else indexing.safe_dim(L_max)
     prod = canonical_displacement(z1, d)[:k] @ canonical_displacement(z2, d)[:, :k]
     direct = math.e ** (-1j * wedge(z1, z2)) * canonical_displacement(z1 + z2, d)[:k, :k]
     return float(np.max(np.abs(prod - direct)))
@@ -196,18 +203,18 @@ def bicoherent(z: complex, g: GL2Matrix, L_max: int, eps: float) -> BiCoherentPa
     return BiCoherentPair(z, T.apply(coeff), T_tilde.apply(coeff), n_cut, tail_bound)
 
 
-def covariance_check(z: complex, zp: complex, g: GL2Matrix, L_max: int, check_L: int | None = None) -> float:
+def covariance_check(z: complex, zp: complex, g: GL2Matrix, L_max: int, check_L: int) -> float:
     """Max deviation of the projective covariance of bi-coherent states:
 
         D_g(z) phi(z') = e^{-i z^z'} phi(z+z'),  and the dual relation
         for the psi family, both measured on sectors L <= check_L.
     """
+    k = _check_dim(check_L, L_max)
     d = indexing.dim(L_max)
     T = rep_full(g, L_max)
     T_tilde = rep_full(dual(g), L_max)
     dcan_z = canonical_displacement(z, d)
     phase = math.e ** (-1j * wedge(z, zp))
-    k = indexing.dim(check_L) if check_L is not None else indexing.safe_dim(L_max)
 
     # both deformed relations reduce to the canonical action on coefficients:
     # T(g) D T(g)^{-1} [T(g) v] = T(g) [D v], likewise for the dual family
@@ -260,6 +267,8 @@ def weight_diagonal_table(s: float, n_max: int) -> list[dict]:
     """Closed form against quadrature of the weight-operator diagonal for
     n = 0..n_max: per n the closed value, the numeric value, the absolute
     error and the error relative to max(1, |closed|)."""
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
     rows = []
     for n in range(n_max + 1):
         closed = weight_operator_diag(s, n)

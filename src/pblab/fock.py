@@ -9,10 +9,8 @@ L <= L_max - 1; all commutator checks project there.
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -43,10 +41,6 @@ class TruncatedOperator:
     @property
     def safe_dim(self) -> int:
         return indexing.safe_dim(self.L_max)
-
-    def dagger(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.L_max, self.mat.conj().T)
-
 
 def safe_part(mat: np.ndarray, L_max: int) -> np.ndarray:
     s = indexing.safe_dim(L_max)
@@ -132,10 +126,6 @@ class PseudoPair:
         out = np.zeros(self.a_op.dim, dtype=complex)
         out[indexing.sector_range(L)] = values
         return out
-
-    def dual_lowering(self) -> TruncatedOperator:
-        """The operator lowering the dual family (adjoint of b_op's role)."""
-        return self.b_op.dagger()
 
     def number_operator(self) -> TruncatedOperator:
         """T(g) Bdag B T(g)^{-1}; eigenvectors vec_phi(n) with eigenvalue n."""
@@ -279,29 +269,3 @@ def metric_deviation(g: GL2Matrix, L_max: int) -> float:
     residuals = ((p @ q - np.eye(len(p)), p - p.conj().T) for p, q in pairs)
     return _max_abs(itertools.chain.from_iterable(residuals))
 
-
-def save_operator(op: TruncatedOperator, basepath) -> None:
-    """Write <base>.json metadata and <base>.bin raw data.
-
-    Layout: row-major, little-endian float64, interleaved (re, im) per entry.
-    """
-    base = Path(basepath)
-    interleaved = np.empty((op.dim, op.dim, 2), dtype="<f8")
-    interleaved[:, :, 0] = op.mat.real
-    interleaved[:, :, 1] = op.mat.imag
-    base.with_suffix(".bin").write_bytes(interleaved.tobytes())
-    meta = {
-        "L_max": op.L_max,
-        "dim": op.dim,
-        "layout": "row-major little-endian f8 interleaved re/im",
-    }
-    base.with_suffix(".json").write_text(json.dumps(meta, indent=1))
-
-
-def load_operator(basepath) -> TruncatedOperator:
-    base = Path(basepath)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    d = meta["dim"]
-    raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
-    interleaved = raw.reshape(d, d, 2)
-    return TruncatedOperator(meta["L_max"], interleaved[:, :, 0] + 1j * interleaved[:, :, 1])

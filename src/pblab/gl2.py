@@ -79,10 +79,10 @@ class GL2Matrix:
     def cond(self) -> float:
         return float(np.linalg.cond(self.as_array()))
 
-    def is_positive_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_positive_hermitian(self) -> bool:
         m = self.as_array()
         scale = max(1.0, float(np.max(np.abs(m))))
-        hermitian = np.allclose(m, m.conj().T, atol=tol * scale)
+        hermitian = np.allclose(m, m.conj().T, atol=1e-12 * scale)
         return bool(hermitian and m[0, 0].real > 0 and self.det.real > 0)
 
     def __matmul__(self, other: "GL2Matrix") -> "GL2Matrix":
@@ -272,16 +272,6 @@ class BlockDiagOperator:
             out[sl, sl] = block
         return out
 
-    def dagger(self) -> "BlockDiagOperator":
-        return BlockDiagOperator(self.L_max, tuple(b.conj().T for b in self.blocks))
-
-    def __matmul__(self, other: "BlockDiagOperator") -> "BlockDiagOperator":
-        if other.L_max != self.L_max:
-            raise ValueError("sector truncations differ")
-        return BlockDiagOperator(
-            self.L_max, tuple(a @ b for a, b in zip(self.blocks, other.blocks))
-        )
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """T x, block by block, for a flat vector or a matrix whose rows are
         flat indices."""
@@ -303,15 +293,6 @@ class BlockDiagOperator:
             sl = _sector_slice(L)
             out[:, sl] = x[:, sl] @ block
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "L_max": self.L_max,
-            "blocks": [
-                [[[float(c.real), float(c.imag)] for c in row] for row in b] for b in self.blocks
-            ],
-        }
-
 
 def rep_full(g: GL2Matrix, L_max: int) -> BlockDiagOperator:
     """Block-diagonal representation operator on the truncation L <= L_max."""

@@ -21,6 +21,7 @@ products, making the orthonormality defect exactly zero in exact arithmetic.
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval2d
 
 from .quadrature import FACTORIALS, exact_gaussian_moment
 
@@ -39,10 +40,6 @@ class PolyCoeffs:
     @classmethod
     def zero(cls) -> "PolyCoeffs":
         return cls(np.zeros((1, 1)))
-
-    @classmethod
-    def const(cls, c) -> "PolyCoeffs":
-        return cls(np.array([[c]], dtype=complex))
 
     @classmethod
     def monomial(cls, j: int, k: int, c=1.0) -> "PolyCoeffs":
@@ -72,67 +69,16 @@ class PolyCoeffs:
     def __sub__(self, other: "PolyCoeffs") -> "PolyCoeffs":
         return self + other.scaled(-1.0)
 
-    def __mul__(self, other: "PolyCoeffs") -> "PolyCoeffs":
-        a, b = self.coeff, other.coeff
-        grid = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1), dtype=complex)
-        for j in range(a.shape[0]):
-            for k in range(a.shape[1]):
-                if a[j, k] != 0:
-                    grid[j : j + b.shape[0], k : k + b.shape[1]] += a[j, k] * b
-        return PolyCoeffs(grid)
-
     def scaled(self, c) -> "PolyCoeffs":
         return PolyCoeffs(self.coeff * c)
 
-    def conjugate(self) -> "PolyCoeffs":
-        """Complex conjugate of the function: swaps the z and conj(z) roles."""
-        return PolyCoeffs(self.coeff.conj().T)
-
-    def dz(self) -> "PolyCoeffs":
-        if self.coeff.shape[0] == 1:
-            return PolyCoeffs.zero()
-        j = np.arange(1, self.coeff.shape[0])
-        return PolyCoeffs(self.coeff[1:, :] * j[:, None])
-
-    def dzbar(self) -> "PolyCoeffs":
-        if self.coeff.shape[1] == 1:
-            return PolyCoeffs.zero()
-        k = np.arange(1, self.coeff.shape[1])
-        return PolyCoeffs(self.coeff[:, 1:] * k[None, :])
-
     def __call__(self, z) -> complex:
-        """Horner evaluation of sum c[j,k] z^j conj(z)^k."""
-        zb = np.conj(z)
-        # inner Horner along conj(z), outer along z
-        row_vals = np.empty(self.coeff.shape[0], dtype=complex)
-        for j in range(self.coeff.shape[0]):
-            acc = 0.0 + 0.0j
-            for k in range(self.coeff.shape[1] - 1, -1, -1):
-                acc = acc * zb + self.coeff[j, k]
-            row_vals[j] = acc
-        out = 0.0 + 0.0j
-        for j in range(len(row_vals) - 1, -1, -1):
-            out = out * z + row_vals[j]
-        return complex(out)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.coeff) <= tol))
+        """Value of sum c[j,k] z^j conj(z)^k at the point z."""
+        return complex(polyval2d(z, np.conj(z), self.coeff))
 
     def allclose(self, other: "PolyCoeffs", atol: float = 1e-12) -> bool:
         diff = (self - other).coeff
         return bool(np.all(np.abs(diff) <= atol))
-
-    def to_json(self) -> dict:
-        return {
-            "deg_z": self.deg_z,
-            "deg_zbar": self.deg_zbar,
-            "coeff": [[[float(c.real), float(c.imag)] for c in row] for row in self.coeff],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PolyCoeffs":
-        grid = np.array([[complex(re, im) for re, im in row] for row in data["coeff"]])
-        return cls(grid)
 
     def __repr__(self):
         return f"PolyCoeffs(deg_z={self.deg_z}, deg_zbar={self.deg_zbar})"
@@ -212,10 +158,6 @@ def inner(p: PolyCoeffs, q: PolyCoeffs) -> complex:
         moments = FACTORIALS[np.minimum(expo, 171)]
         total += vp.conj() @ moments @ vq
     return complex(total)
-
-
-def norm_sq(p: PolyCoeffs) -> float:
-    return inner(p, p).real
 
 
 # -- exact integer backend ---------------------------------------------------

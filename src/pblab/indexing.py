@@ -49,12 +49,8 @@ def unflatten(n: int) -> ModeIndex:
     """
     if n < 0:
         raise ValueError(f"flat index must be non-negative, got {n}")
+    # isqrt is exact, so L(L+1)/2 <= n < (L+1)(L+2)/2 holds
     L = (math.isqrt(8 * n + 1) - 1) // 2
-    # isqrt makes the closed form exact; corrections kept as a guard only
-    while (L + 1) * (L + 2) // 2 <= n:
-        L += 1
-    while L * (L + 1) // 2 > n:
-        L -= 1
     n1 = n - L * (L + 1) // 2
     return ModeIndex(n1, L - n1)
 

@@ -31,7 +31,7 @@ so convergence to the linear closed form is entrywise in lam but not
 uniform over the truncation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,7 +50,6 @@ class WeightSpec:
     eval: Callable[[complex], complex]
     dz_at_0: complex
     dzbar_at_0: complex
-    label: str = field(default="custom")
 
     def __post_init__(self):
         w0 = complex(self.eval(0j))
@@ -59,16 +58,14 @@ class WeightSpec:
 
 
 def unit_weight() -> WeightSpec:
-    return WeightSpec(lambda z: np.ones_like(np.asarray(z, dtype=complex)), 0.0, 0.0, "unit")
+    return WeightSpec(lambda z: np.ones_like(np.asarray(z, dtype=complex)), 0.0, 0.0)
 
 
 def isotropic_gaussian_weight(s: float) -> WeightSpec:
     """w_s(z) = e^{s |z|^2 / 2}; bounded weight operator needs s < 1."""
     if s >= 1:
         raise ValueError(f"need s < 1 for an integrable family, got {s}")
-    return WeightSpec(
-        lambda z: np.exp(s * np.abs(z) ** 2 / 2), 0.0, 0.0, f"gauss-s({s})"
-    )
+    return WeightSpec(lambda z: np.exp(s * np.abs(z) ** 2 / 2), 0.0, 0.0)
 
 
 def drift_weight(alpha: complex, beta: complex, s: float = 0.0) -> WeightSpec:
@@ -80,7 +77,6 @@ def drift_weight(alpha: complex, beta: complex, s: float = 0.0) -> WeightSpec:
         lambda z: np.exp(alpha * z - beta * np.conj(z) + s * np.abs(z) ** 2 / 2),
         alpha,
         -beta,
-        f"drift({alpha},{beta},s={s})",
     )
 
 

@@ -125,6 +125,19 @@ class TestSubcommands:
         code, out = run_cli(capsys, "quantize", "--check", "oracle", "--regularizer", "0")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("displace", "--l-max", "4", "--check-l", "10", "--check", "covariance"),
+            ("displace", "--l-max", "4", "--check-l", "10", "--check", "compose"),
+            ("deformed", "--g", "1,1,0,1", "--check", "table", "--l-max", "-1"),
+            ("quantize", "--check", "table", "--n-max", "-1"),
+        ],
+    )
+    def test_vacuous_sizes_exit_two(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+
     def test_exit_code_one_on_failed_check(self, capsys):
         code, out = run_cli(
             capsys, "rep", "--g", "1,1,0,1", "--L", "4", "--check", "inverse", "--tol", "1e-30"

@@ -185,6 +185,17 @@ class TestComposition:
                 dev = compose_check(z1, z2, L_max, check_L=check_L)
                 assert abs(dev - compose_check_full(z1, z2, L_max, check_L)) <= 1e-15
 
+    def test_check_sectors_outside_the_truncation_rejected(self):
+        # sectors <= 10 at L_max 4 would cover the whole truncation
+        for check in (
+            lambda L: compose_check(1.0, 1j, 4, check_L=L),
+            lambda L: covariance_check(1.0, 1j, SHEAR, 4, check_L=L),
+        ):
+            for bad in (10, 5, -1):
+                with pytest.raises(ValueError):
+                    check(bad)
+            assert math.isfinite(check(4))
+
     def test_deviation_floor_reached_by_L20(self):
         devs = [compose_check(1.0, 1j, lm, check_L=10) for lm in (20, 30, 40)]
         # tail error is already below roundoff at L_max = 20: no growth allowed
@@ -234,7 +245,7 @@ class TestBiCoherent:
         ops = pseudo_pair(SHEAR, 25)
         state = bicoherent(z, SHEAR, 25, 1e-12)
         sd = indexing.safe_dim(25)
-        resid = (ops.dual_lowering().mat @ state.psi_vec - z * state.psi_vec)[:sd]
+        resid = (ops.b_op.mat.conj().T @ state.psi_vec - z * state.psi_vec)[:sd]
         assert np.max(np.abs(resid)) <= 1e-7
 
     def test_unreachable_tail_reports_needed_cutoff(self):
@@ -307,6 +318,10 @@ class TestWeightOperator:
             assert row["numeric"] == weight_operator_numeric(0.5, row["n"])
             assert row["abs_err"] == abs(row["numeric"] - closed)
             assert row["rel_err"] == row["abs_err"] / max(1.0, abs(closed))
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError):
+            weight_diagonal_table(0.0, -1)
 
     def test_divergent_s_rejected(self):
         with pytest.raises(ValueError):
