@@ -43,7 +43,7 @@ from .fock import (
     pseudo_pair,
     safe_part,
 )
-from .gl2 import GL2Matrix, homomorphism_deviation, inverse_deviation, random_gl2, rep_block, star_deviation
+from .gl2 import GL2Matrix, homomorphism_deviation, inverse_deviation, random_gl2, rep_full, star_deviation
 from .hermite import hermite_terms_exact, hermite_via_contraction, inner_exact
 from .quantize import (
     drift_weight,
@@ -118,8 +118,7 @@ def criterion_02_construction_equivalence() -> CriterionResult:
     contracted = [[hermite_via_contraction(mp, L - mp) for mp in range(L + 1)] for L in range(9)]
     for _ in range(10):
         g = random_gl2(rng)
-        for L, grids in enumerate(contracted):
-            block = rep_block(g, L)
+        for L, (block, grids) in enumerate(zip(rep_full(g, 8).blocks, contracted)):
             for n1 in range(L + 1):
                 a = deformed_coeffs(g, n1, L - n1)
                 b = deformed_via_rep(g, n1, L - n1)

@@ -135,6 +135,8 @@ def cmd_hermite(args) -> int:
         params.update({"n1": args.n1, "n2": args.n2, "z": str(z)})
         results.append({"check": "eval", "re": val.real, "im": val.imag, "pass": True})
         return emit_report(args, "hermite", params, results, True)
+    if args.max_degree < 0:
+        raise ConfigError(f"need --max-degree >= 0, got {args.max_degree}")
     params["max_degree"] = args.max_degree
     if args.check == "orthonormality":
         _, dev = biorth_gram(GL2Matrix.identity(), args.max_degree)
@@ -167,6 +169,8 @@ def cmd_rep(args) -> int:
             }
         )
     elif args.check == "homomorphism":
+        if args.trials < 1:
+            raise ConfigError(f"need --trials >= 1, got {args.trials}")
         worst = np.max([homomorphism_deviation(g, random_gl2(rng), args.L) for _ in range(args.trials)])
         results.append(_check_row("homomorphism", worst, args.tol, trials=args.trials))
     elif args.check == "inverse":
@@ -185,6 +189,8 @@ def cmd_deformed(args) -> int:
     g = parse_gl2(args.g)
     results = []
     params = {"g": args.g, "l_max": args.l_max, "check": args.check}
+    if args.l_max < 0:
+        raise ConfigError(f"need --l-max >= 0, got {args.l_max}")
     if args.check == "gram":
         _, dev = biorth_gram(g, args.l_max)
         results.append(_check_row("biorthonormality-gram", dev, args.tol))
@@ -192,8 +198,6 @@ def cmd_deformed(args) -> int:
         worst = norm_identity_deviation(g, range(args.l_max + 1))
         results.append(_check_row("norm-identity-rel", worst, args.tol))
     elif args.check == "table":
-        if args.l_max < 0:
-            raise ConfigError(f"need --l-max >= 0, got {args.l_max}")
         for L in range(args.l_max + 1):
             for n1 in range(L + 1):
                 n2 = L - n1

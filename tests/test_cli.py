@@ -138,6 +138,31 @@ class TestSubcommands:
         code, out = run_cli(capsys, *argv)
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize(
+        "option, argv",
+        [
+            ("--max-degree", ("hermite", "--check", "equivalence", "--max-degree", "-1")),
+            ("--trials", ("rep", "--g", "1,1,0,1", "--trials", "0")),
+            ("--l-max", ("deformed", "--g", "1,1,0,1", "--check", "norm-identity", "--l-max", "-1")),
+            ("--l-max", ("deformed", "--g", "1,1,0,1", "--check", "gram", "--l-max", "-1")),
+        ],
+        ids=["hermite", "rep", "deformed-norm-identity", "deformed-gram"],
+    )
+    def test_empty_sizes_name_their_option(self, capsys, option, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and option in captured.err
+
+    def test_star_law_at_L100(self, capsys):
+        # a 1.01-scaled rotation by pi/4: the q-sum summed directly cancels
+        # to about 1e-5 of the block maximum here
+        code, out = run_cli(
+            capsys, "rep", "--g", "0.7141778,-0.7141778,0.7141778,0.7141778",
+            "--L", "100", "--check", "star",
+        )
+        assert code == 0, out
+
     def test_exit_code_one_on_failed_check(self, capsys):
         code, out = run_cli(
             capsys, "rep", "--g", "1,1,0,1", "--L", "4", "--check", "inverse", "--tol", "1e-30"

@@ -267,8 +267,9 @@ class TestGroupLawInverse:
     )
     def test_inverse_blocks_match_50_digit_reference(self, g):
         # near-scalar-unitary draws make the q-sum cancel by up to ~1e8 at
-        # L = 60; the extended-precision accumulation then rounds to about
-        # 0.5 eps_long times the modulus sum, which the bound allows 4x of
+        # L = 60, which the floor of 4 eps_long times the modulus sum allows
+        # for; the degree recursion stays inside the 1e-12 relative term
+        # alone (worst 2.4e-14, at L = 60)
         eps_long = np.finfo(np.longdouble).eps
         blocks = ((40, pseudo_pair(g, 40).T_inv.blocks[40]), (60, rep_block(g.inv(), 60)))
         for L, got in blocks:

@@ -62,6 +62,14 @@ class TestDual:
 
 _REF_RNG = np.random.default_rng(2024)
 REFERENCE_DRAWS = [GL2Matrix(1, 1, 0, 1)] + [random_gl2(_REF_RNG) for _ in range(3)]
+_NEAR_RNG, _WIDE_RNG = np.random.default_rng(40), np.random.default_rng(7)
+_ROTATION = 1.01 * math.cos(math.pi / 4)
+REACH_MATRICES = (
+    [GL2Matrix(1, 1, 0, 1), GL2Matrix(2, 0, 0, 1)]
+    + [random_gl2(_NEAR_RNG, 0.8, 1.3) for _ in range(3)]
+    + [random_gl2(_WIDE_RNG) for _ in range(2)]
+    + [GL2Matrix(_ROTATION, -_ROTATION, _ROTATION, _ROTATION)]
+)
 
 
 class TestRepBlock:
@@ -106,15 +114,30 @@ class TestRepBlock:
         err = np.max(np.abs(rep_block(g, L) - ref)) / scale
         assert err <= 2 * max(err_loop, np.finfo(float).eps)
 
-    @pytest.mark.skipif(
-        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision"
+    @pytest.mark.parametrize(
+        "g", REACH_MATRICES, ids=["shear", "diag21", "near0", "near1", "near2", "random0", "random1", "rotation"]
     )
+    def test_L100_against_60_digit_reference(self, g):
+        # summed directly, even with a 64-bit mantissa, the q-sum cancels to
+        # about 1e-5 of the block maximum on the near-unitary matrices here;
+        # the degree recursion's worst measured error is 1.7e-12
+        ref = rep_block_mpmath(g, 100, dps=60)
+        assert np.max(np.abs(rep_block(g, 100) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
     def test_star_law_at_L60_for_near_unitary_draws(self):
-        # in double precision the q-sum of about a third of these draws
-        # cancels past the 1e-10 bound of the benchmark's star-law check
+        # the q-sum summed directly in double precision cancels past the
+        # 1e-10 bound of the benchmark's star-law check on about a third of
+        # these draws
         rng = np.random.default_rng(31)
         for _ in range(16):
             assert star_deviation(random_gl2(rng, 0.8, 1.3), 60) <= 1e-10
+
+    def test_star_law_at_L100_for_near_unitary_draws(self):
+        # summed directly, even with a 64-bit mantissa, the q-sum fails 5 of
+        # these draws (worst 1.0e-6); the recursion's worst is 4.8e-13
+        rng = np.random.default_rng(0)
+        for _ in range(16):
+            assert star_deviation(random_gl2(rng, 0.8, 1.3), 100) <= 1e-10
 
     def test_homomorphism_random_pairs(self):
         rng = np.random.default_rng(0)
@@ -243,6 +266,14 @@ class TestRepFull:
         dense = full.dense()
         for got, ref in ((full.apply(x), dense @ x), (full.apply_right(x), x @ dense)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_blocks_equal_rep_block_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            g = random_gl2(rng)
+            full = rep_full(g, 12)
+            for L in range(13):
+                assert np.array_equal(full.blocks[L], rep_block(g, L)), L
 
     def test_block_shapes_validated(self):
         with pytest.raises(ValueError):
