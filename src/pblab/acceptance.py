@@ -41,7 +41,6 @@ from .fock import (
     metric_deviation,
     pseudo_commutator_deviation,
     pseudo_pair,
-    safe_part,
 )
 from .gl2 import GL2Matrix, homomorphism_deviation, inverse_deviation, random_gl2, rep_full, star_deviation
 from .hermite import hermite_terms_exact, hermite_via_contraction, inner_exact
@@ -219,8 +218,7 @@ def criterion_07_operator_algebra() -> CriterionResult:
     tol = 1e-8
     L_max = 12
     B, Bd = ladder(L_max)
-    flat_ccr = safe_part(commutator(B.mat, Bd.mat), L_max) - np.eye(indexing.safe_dim(L_max))
-    worst = _worst(float(np.max(np.abs(flat_ccr))), ccr_deviation(L_max), cuntz_deviation(L_max))
+    worst = _worst(commutator(B, Bd).safe_deviation(1.0), ccr_deviation(L_max), cuntz_deviation(L_max))
 
     # T(g)^{-1} = T(g^{-1}) is exact, but the products T B T^{-1} cancel
     # down to about eps |T| |T^{-1}|, which grows like cond(g)^L; the random

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import eval_laguerre, gammaincc, gammaln, xlogy
 
 from . import indexing
-from .gl2 import BlockDiagOperator, GL2Matrix, dual, rep_full
+from .gl2 import GL2Matrix, SectorOperator, dual, rep_full
 from .quadrature import PlaneScheme, integrate, polar_scheme
 
 
@@ -312,7 +312,7 @@ def norm_growth_check(norms, r: float, alpha: float) -> bool:
     return True
 
 
-def norm_growth_certificate(T: BlockDiagOperator, gram: GL2Matrix) -> tuple[np.ndarray, float, bool]:
+def norm_growth_certificate(T: SectorOperator, gram: GL2Matrix) -> tuple[np.ndarray, float, bool]:
     """Norm-growth certificate of the family T e_n: the column norms |T e_n|,
     read off the blocks, the radius r = sqrt(tr gram), and whether
     |T e_n| <= r^n for every n.  For T = T(g) pass gram = (dagger g) g; for

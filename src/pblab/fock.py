@@ -1,11 +1,14 @@
-"""Truncated matrix realizations of the ladder algebra: two-mode bosons,
-their deformations, the flat-index ladder pair, shift isometries, the
-deformed pseudo-bosonic pair, and metric operators.
+"""Truncated realizations of the ladder algebra: two-mode bosons, their
+deformations, the flat-index ladder pair, shift isometries, the deformed
+pseudo-bosonic pair, and metric operators.
 
 Everything lives on the flat-index truncation keeping sectors L <= L_max
-(dimension (L_max+1)(L_max+2)/2).  Raising operators leak out of the top
-sector, so operator identities are exact only on the safe block of sectors
-L <= L_max - 1; all commutator checks project there.
+(dimension (L_max+1)(L_max+2)/2).  The lowering operators map sector L into
+sectors L and L-1, and T(g) is block-diagonal, so every operator here except
+the shift isometries is a ``SectorOperator`` holding only its nonzero sector
+blocks, and every check runs block by block.  Raising operators leak out of
+the top sector, so operator identities are exact only on the safe block of
+sectors L <= L_max - 1; all commutator checks project there.
 """
 
 import itertools
@@ -15,68 +18,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import indexing
-from .gl2 import BlockDiagOperator, GL2Matrix, rep_full
+from .gl2 import GL2Matrix, SectorOperator, rep_full
 
 _COND_LIMIT = 1e6
 
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Dense complex matrix on the sector truncation, tagged with L_max."""
-
-    L_max: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        d = indexing.dim(self.L_max)
-        if self.mat.shape != (d, d):
-            raise ValueError(f"expected {d}x{d} matrix for L_max={self.L_max}, got {self.mat.shape}")
-        if not np.all(np.isfinite(self.mat.real)) or not np.all(np.isfinite(self.mat.imag)):
-            raise ValueError("matrix entries must be finite")
-
-    @property
-    def dim(self) -> int:
-        return indexing.dim(self.L_max)
-
-    @property
-    def safe_dim(self) -> int:
-        return indexing.safe_dim(self.L_max)
 
 def safe_part(mat: np.ndarray, L_max: int) -> np.ndarray:
     s = indexing.safe_dim(L_max)
     return mat[:s, :s]
 
 
-def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def commutator(x, y):
+    """[x, y] for two arrays or two SectorOperators."""
     return x @ y - y @ x
 
 
-def ladder(L_max: int) -> tuple[TruncatedOperator, TruncatedOperator]:
-    """Flat-index lowering/raising pair: lower e_n = sqrt(n) e_{n-1}."""
+def ladder(L_max: int) -> tuple[SectorOperator, SectorOperator]:
+    """Flat-index lowering/raising pair: lower e_n = sqrt(n) e_{n-1}.  It steps
+    down inside each sector and sends the bottom of sector L, flat index
+    L(L+1)/2, to the top of sector L-1."""
     if L_max < 1:
         raise ValueError(f"need L_max >= 1, got {L_max}")
-    d = indexing.dim(L_max)
-    lower = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        lower[n - 1, n] = math.sqrt(n)
-    return TruncatedOperator(L_max, lower), TruncatedOperator(L_max, lower.conj().T)
+    parts = {(L, L): np.eye(L + 1, k=1) * np.sqrt(indexing.sector_range(L)) for L in range(L_max + 1)}
+    for L in range(1, L_max + 1):  # the crossing block is zero but for [L-1, 0]
+        parts[L - 1, L] = np.eye(L, L + 1, k=1 - L) * math.sqrt(L * (L + 1) // 2)
+    lower = SectorOperator(L_max, parts)
+    return lower, lower.dagger()
+
+
+def _mode_lowering(c1: complex, c2: complex, L_max: int) -> SectorOperator:
+    """c1 a1 + c2 a2: position m = n1 of sector L goes to position m-1 of
+    sector L-1 with sqrt(n1) and to position m with sqrt(n2)."""
+    if L_max < 1:
+        raise ValueError(f"need L_max >= 1, got {L_max}")
+    parts = {}
+    for L in range(1, L_max + 1):
+        m = np.arange(L + 1)
+        parts[L - 1, L] = c1 * np.eye(L, L + 1, k=1) * np.sqrt(m) + c2 * np.eye(L, L + 1) * np.sqrt(L - m)
+    return SectorOperator(L_max, parts)
 
 
 def two_mode(L_max: int):
-    """Two-mode boson matrices (a1, a1dag, a2, a2dag) on the flat basis."""
-    if L_max < 1:
-        raise ValueError(f"need L_max >= 1, got {L_max}")
-    d = indexing.dim(L_max)
-    a1 = np.zeros((d, d), dtype=complex)
-    a2 = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        n1, n2 = indexing.unflatten(n)
-        if n1 >= 1:
-            a1[indexing.flatten(n1 - 1, n2), n] = math.sqrt(n1)
-        if n2 >= 1:
-            a2[indexing.flatten(n1, n2 - 1), n] = math.sqrt(n2)
-    wrap = lambda m: TruncatedOperator(L_max, m)
-    return wrap(a1), wrap(a1.conj().T), wrap(a2), wrap(a2.conj().T)
+    """Two-mode boson operators (a1, a1dag, a2, a2dag) on the flat basis."""
+    a1, a2 = _mode_lowering(1, 0, L_max), _mode_lowering(0, 1, L_max)
+    return a1, a1.dagger(), a2, a2.dagger()
 
 
 def deformed_two_mode(g: GL2Matrix, L_max: int):
@@ -84,14 +69,12 @@ def deformed_two_mode(g: GL2Matrix, L_max: int):
 
         A1 = conj(g11) a1 + conj(g21) a2,   A2 = conj(g12) a1 + conj(g22) a2,
 
-    with adjoints by conjugate transpose.  On the safe block
-    [A_i, A_j^dag] = ((dagger g) g)_{ij} I while [A1, A2] = 0 exactly.
+    with their adjoints.  On the safe block [A_i, A_j^dag] = ((dagger g) g)_{ij} I
+    while [A1, A2] = 0 exactly.
     """
-    a1, a1d, a2, a2d = two_mode(L_max)
-    A1 = np.conj(g.g11) * a1.mat + np.conj(g.g21) * a2.mat
-    A2 = np.conj(g.g12) * a1.mat + np.conj(g.g22) * a2.mat
-    wrap = lambda m: TruncatedOperator(L_max, m)
-    return wrap(A1), wrap(A2), wrap(A1.conj().T), wrap(A2.conj().T)
+    A1 = _mode_lowering(np.conj(g.g11), np.conj(g.g21), L_max)
+    A2 = _mode_lowering(np.conj(g.g12), np.conj(g.g22), L_max)
+    return A1, A2, A1.dagger(), A2.dagger()
 
 
 @dataclass(frozen=True)
@@ -105,10 +88,10 @@ class PseudoPair:
 
     g: GL2Matrix
     L_max: int
-    a_op: TruncatedOperator
-    b_op: TruncatedOperator
-    T: BlockDiagOperator
-    T_inv: BlockDiagOperator
+    a_op: SectorOperator
+    b_op: SectorOperator
+    T: SectorOperator
+    T_inv: SectorOperator
 
     def vec_phi(self, n: int) -> np.ndarray:
         """Deformed basis vector T(g) e_n in flat coordinates: column m of
@@ -127,59 +110,34 @@ class PseudoPair:
         out[indexing.sector_range(L)] = values
         return out
 
-    def number_operator(self) -> TruncatedOperator:
-        """T(g) Bdag B T(g)^{-1}; eigenvectors vec_phi(n) with eigenvalue n."""
-        # T Bdag B scales column n of T by n
-        t_num = self.T.dense() * np.arange(self.a_op.dim)
-        return TruncatedOperator(self.L_max, self.T_inv.apply_right(t_num))
-
-
-def _times_ladder(T: BlockDiagOperator, step: int) -> np.ndarray:
-    """Dense T B (step 1) or T Bdag (step -1) for the flat ladder pair B, Bdag.
-
-    Column n of T B is sqrt(n) T e_{n-1} and column n of T Bdag is
-    sqrt(n+1) T e_{n+1}: each block of T moves ``step`` columns to the
-    right, scaled by the square root of the larger of its old and new
-    column index.
-    """
-    d = T.dim
-    out = np.zeros((d, d), dtype=complex)
-    for L, block in enumerate(T.blocks):
-        rows = indexing.sector_range(L)
-        lo, hi = max(rows.start + step, 0), min(rows.stop + step, d)
-        cols = np.arange(lo, hi)
-        moved = block[:, lo - step - rows.start : hi - step - rows.start]
-        out[rows.start : rows.stop, lo:hi] = moved * np.sqrt(np.maximum(cols, cols - step))
-    return out
+    def number_operator(self) -> SectorOperator:
+        """T(g) N T(g)^{-1} with N = Bdag B = diag(n); eigenvectors vec_phi(n)
+        with eigenvalue n."""
+        return self.T @ SectorOperator.diagonal(self.L_max, np.arange(self.a_op.dim)) @ self.T_inv
 
 
 def pseudo_pair(g: GL2Matrix, L_max: int) -> PseudoPair:
     """Build the deformed pair with T(g)^{-1} = T(g^{-1}); ill-conditioned g
     is rejected since the products T B T^{-1} cancel down to about
-    eps |T| |T^{-1}|, which grows like cond(g)^L.
-
-    T B and T Bdag are column shifts of T, so only the right products with
-    the block-diagonal T(g)^{-1} cost arithmetic, O(d sum_L (L+1)^2)."""
+    eps |T| |T^{-1}|, which grows like cond(g)^L."""
     if g.cond() > _COND_LIMIT:
         raise ValueError(f"condition number {g.cond():.2e} exceeds {_COND_LIMIT:.0e}")
-    if L_max < 1:
-        raise ValueError(f"need L_max >= 1, got {L_max}")
+    lower, raiser = ladder(L_max)
     T = rep_full(g, L_max)
     T_inv = rep_full(g.inv(), L_max)
-    a_op = TruncatedOperator(L_max, T_inv.apply_right(_times_ladder(T, 1)))
-    b_op = TruncatedOperator(L_max, T_inv.apply_right(_times_ladder(T, -1)))
-    return PseudoPair(g, L_max, a_op, b_op, T, T_inv)
+    return PseudoPair(g, L_max, T @ lower @ T_inv, T @ raiser @ T_inv, T, T_inv)
 
 
-def cuntz_isometry(n: int, L_max: int) -> TruncatedOperator:
+def cuntz_isometry(n: int, L_max: int) -> np.ndarray:
     """Shift isometry e_m -> e_flatten(m, n), defined on columns with
-    m + n <= L_max (images inside the truncation); a partial permutation."""
+    m + n <= L_max (images inside the truncation); a partial permutation,
+    as a dense d x d array."""
     if not 0 <= n <= L_max:
         raise ValueError(f"need 0 <= n <= L_max, got n = {n}")
     d = indexing.dim(L_max)
     mat = np.zeros((d, d), dtype=complex)
     mat[cuntz_images(n, L_max), np.arange(cuntz_domain_dim(n, L_max))] = 1.0
-    return TruncatedOperator(L_max, mat)
+    return mat
 
 
 def cuntz_domain_dim(n: int, L_max: int) -> int:
@@ -192,58 +150,53 @@ def cuntz_images(n: int, L_max: int) -> np.ndarray:
     return np.array([indexing.flatten(m, n) for m in range(cuntz_domain_dim(n, L_max))])
 
 
-def metric_operators(g: GL2Matrix, L_max: int) -> tuple[TruncatedOperator, TruncatedOperator]:
+def metric_operators(g: GL2Matrix, L_max: int) -> tuple[SectorOperator, SectorOperator]:
     """Gram-type metric pair: S_phi = T(g) T(g)^dag = T(g gdag) and its
     inverse S_psi = T((g gdag)^{-1}), both from the group law; positive-definite
     Hermitian with S_phi S_psi = I block by block."""
     h = g @ g.dagger()
-    return (
-        TruncatedOperator(L_max, rep_full(h, L_max).dense()),
-        TruncatedOperator(L_max, rep_full(h.inv(), L_max).dense()),
-    )
+    return rep_full(h, L_max), rep_full(h.inv(), L_max)
 
 
 def _max_abs(residuals) -> float:
-    """Largest entry modulus over an iterable of residual arrays, reduced one
-    array at a time; NaN if any entry is NaN."""
+    """Largest entry modulus over an iterable of residual arrays or scalars,
+    reduced one at a time; NaN if any entry is NaN."""
     return float(np.max([np.max(np.abs(r)) for r in residuals]))
 
 
-def _ccr_residuals(lowers, raisers, gram: np.ndarray, L_max: int):
-    eye_safe = np.eye(indexing.safe_dim(L_max))
-    return (
-        safe_part(commutator(x.mat, y.mat), L_max) - gram[i, j] * eye_safe
+def _ccr_deviations(lowers, raisers, gram: np.ndarray) -> list[float]:
+    return [
+        commutator(x, y).safe_deviation(gram[i, j])
         for i, x in enumerate(lowers)
         for j, y in enumerate(raisers)
-    )
+    ]
 
 
 def ccr_deviation(L_max: int) -> float:
     """Max deviation of [a_i, a_j^dag] = delta_ij I on the safe block."""
     a1, a1d, a2, a2d = two_mode(L_max)
-    return _max_abs(_ccr_residuals((a1, a2), (a1d, a2d), np.eye(2), L_max))
+    return _max_abs(_ccr_deviations((a1, a2), (a1d, a2d), np.eye(2)))
 
 
 def deformed_ccr_deviation(g: GL2Matrix, L_max: int) -> float:
     """Max deviation of [A_i, A_j^dag] = ((dagger g) g)_ij I on the safe block
     and of [A1, A2] = 0 on the whole truncation."""
     A1, A2, A1d, A2d = deformed_two_mode(g, L_max)
-    ccr = _ccr_residuals((A1, A2), (A1d, A2d), g.gram().as_array(), L_max)
-    return _max_abs(itertools.chain([commutator(A1.mat, A2.mat)], ccr))
+    ccr = _ccr_deviations((A1, A2), (A1d, A2d), g.gram().as_array())
+    return _max_abs([*ccr, *commutator(A1, A2).parts.values()])
 
 
 def pseudo_commutator_deviation(pair: PseudoPair) -> float:
     """Max deviation of [a, b] = I on the safe block."""
-    c = safe_part(commutator(pair.a_op.mat, pair.b_op.mat), pair.L_max)
-    return float(np.max(np.abs(c - np.eye(pair.a_op.safe_dim))))
+    return commutator(pair.a_op, pair.b_op).safe_deviation(1.0)
 
 
 def ladder_deviation(pair: PseudoPair) -> float:
     """Max residual of a phi_0 = 0 and a phi_n = sqrt(n) phi_{n-1} on the
     deformed family, 1 <= n < min(12, safe_dim)."""
-    a, phi = pair.a_op.mat, pair.vec_phi
+    a, phi = pair.a_op.apply, pair.vec_phi
     steps = range(1, min(12, pair.a_op.safe_dim))
-    return _max_abs([a @ phi(0), *(a @ phi(n) - math.sqrt(n) * phi(n - 1) for n in steps)])
+    return _max_abs([a(phi(0)), *(a(phi(n)) - math.sqrt(n) * phi(n - 1) for n in steps)])
 
 
 def cuntz_deviation(L_max: int) -> float:
@@ -264,8 +217,7 @@ def cuntz_deviation(L_max: int) -> float:
 def metric_deviation(g: GL2Matrix, L_max: int) -> float:
     """Max deviation of S_phi S_psi = I and of the Hermiticity of S_phi,
     block by block: both metrics are T(h) and T(h^{-1}) with h = g gdag."""
-    h = g @ g.dagger()
-    pairs = zip(rep_full(h, L_max).blocks, rep_full(h.inv(), L_max).blocks)
-    residuals = ((p @ q - np.eye(len(p)), p - p.conj().T) for p, q in pairs)
+    s_phi, s_psi = metric_operators(g, L_max)
+    residuals = ((p @ q - np.eye(len(p)), p - p.conj().T) for p, q in zip(s_phi.blocks, s_psi.blocks))
     return _max_abs(itertools.chain.from_iterable(residuals))
 

@@ -142,6 +142,15 @@ def _degree_steps(g: GL2Matrix, L_max: int):
         yield buf
 
 
+# the largest degree whose binomials C(L, m) fit a double (C(1030, 515) ~ 2.9e308)
+MAX_DEGREE = 1029
+
+
+def _check_degree(L: int) -> None:
+    if not 0 <= L <= MAX_DEGREE:
+        raise ValueError(f"degree {L} outside 0..{MAX_DEGREE}, where binomials C(L, m) fit a double")
+
+
 def _normalized(monomial: np.ndarray, L: int, out=None) -> np.ndarray:
     """Sector L's plain-monomial block times sqrt(C(L, m) / C(L, m'))."""
     binom = np.array([math.comb(L, m) for m in range(L + 1)], dtype=float)
@@ -159,8 +168,7 @@ def rep_block(g: GL2Matrix, L: int) -> np.ndarray:
     conjugate-transpose star law and the biorthogonality identities, so that
     is what this artifact calls T^L(g).  Diagonal entries are unaffected.
     """
-    if L < 0:
-        raise ValueError(f"sector degree must be non-negative, got {L}")
+    _check_degree(L)
     *_, monomial = _degree_steps(g, L)
     return _normalized(monomial, L)
 
@@ -243,76 +251,119 @@ def rep_diag_log(h: GL2Matrix, n1: int, n2: int) -> float:
 
 
 def _sector_slice(L: int) -> slice:
-    r = indexing.sector_range(L)
-    return slice(r.start, r.stop)
+    return slice(L * (L + 1) // 2, (L + 1) * (L + 2) // 2)
 
 
 @dataclass(frozen=True)
-class BlockDiagOperator:
-    """Direct sum of representation blocks over sectors L = 0..L_max.
+class SectorOperator:
+    """Operator on the truncation L <= L_max stored as its nonzero sector
+    blocks: ``parts[(i, j)]`` is the (i+1)x(j+1) block from sector j to
+    sector i, and a missing key is a zero block.
 
-    Block boundaries coincide with the flat-index sector ranges, so the dense
-    form acts on truncated Fock coefficient vectors.  Inverses and duals come
-    from the group law: T(g)^{-1} = T(g^{-1}), (T(g)^dag)^{-1} = T(dual(g)).
+    T(g) is block-diagonal, and the ladder operators and what the checks form
+    from them couple only neighbouring sectors, so products cost
+    O(sum_L (L+1)^3) instead of the O(d^3) of dense d x d products.
     """
 
     L_max: int
-    blocks: tuple
+    parts: dict
 
     def __post_init__(self):
-        if len(self.blocks) != self.L_max + 1:
-            raise ValueError("need one block per sector")
-        for L, b in enumerate(self.blocks):
-            if b.shape != (L + 1, L + 1):
-                raise ValueError(f"sector {L} block has shape {b.shape}")
+        for (i, j), block in self.parts.items():
+            if not (0 <= i <= self.L_max and 0 <= j <= self.L_max and block.shape == (i + 1, j + 1)):
+                raise ValueError(f"sector block {(i, j)} of shape {block.shape} does not fit 0..{self.L_max}")
+            if not np.isfinite(block).all():
+                raise ValueError(f"sector block {(i, j)} has non-finite entries")
+
+    @classmethod
+    def diagonal(cls, L_max: int, values) -> "SectorOperator":
+        """The diagonal operator with flat diagonal ``values`` (or a scalar)."""
+        values = np.broadcast_to(values, indexing.dim(L_max))
+        return cls(L_max, {(L, L): np.diag(values[_sector_slice(L)]) for L in range(L_max + 1)})
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The diagonal blocks, sector by sector."""
+        return tuple(self.parts.get((L, L), np.zeros((L + 1, L + 1))) for L in range(self.L_max + 1))
 
     @property
     def dim(self) -> int:
         return indexing.dim(self.L_max)
 
-    def dense(self) -> np.ndarray:
+    @property
+    def safe_dim(self) -> int:
+        return indexing.safe_dim(self.L_max)
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The dense d x d matrix, built on each access."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for L, block in enumerate(self.blocks):
-            sl = _sector_slice(L)
-            out[sl, sl] = block
+        for (i, j), block in self.parts.items():
+            out[_sector_slice(i), _sector_slice(j)] = block
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """T x, block by block, for a flat vector or a matrix whose rows are
-        flat indices."""
-        out = np.empty(x.shape, dtype=complex)
-        for L, block in enumerate(self.blocks):
-            sl = _sector_slice(L)
-            out[sl] = block @ x[sl]
+        """X x for a flat vector or a matrix whose rows are flat indices."""
+        out = np.zeros(x.shape, dtype=complex)
+        for (i, j), block in self.parts.items():
+            out[_sector_slice(i)] += block @ x[_sector_slice(j)]
         return out
 
     def apply_right(self, x: np.ndarray) -> np.ndarray:
-        """x T, block by block, for a matrix whose columns are flat indices.
-
-        With ``apply`` and T_inv = rep_full(g.inv(), L_max) this gives
-        T X T^{-1} as ``T.apply(T_inv.apply_right(X))`` at
-        O(d sum_L (L+1)^2) instead of the O(d^3) of dense products.
-        """
-        out = np.empty(x.shape, dtype=complex)
-        for L, block in enumerate(self.blocks):
-            sl = _sector_slice(L)
-            out[:, sl] = x[:, sl] @ block
+        """x X for a matrix whose columns are flat indices; T Y T^{-1} for a
+        dense Y is ``T.apply(T_inv.apply_right(Y))``, at O(d sum_L (L+1)^2)."""
+        out = np.zeros(x.shape, dtype=complex)
+        for (i, j), block in self.parts.items():
+            out[:, _sector_slice(j)] += x[:, _sector_slice(i)] @ block
         return out
 
-def rep_full(g: GL2Matrix, L_max: int) -> BlockDiagOperator:
+    def __matmul__(self, other: "SectorOperator") -> "SectorOperator":
+        rows = {}
+        for (j, k), block in other.parts.items():
+            rows.setdefault(j, []).append((k, block))
+        parts = {}
+        for (i, j), left in self.parts.items():
+            for k, right in rows.get(j, ()):
+                term = left @ right
+                parts[i, k] = parts[i, k] + term if (i, k) in parts else term
+        return SectorOperator(self.L_max, parts)
+
+    def __sub__(self, other: "SectorOperator") -> "SectorOperator":
+        parts = dict(self.parts)
+        for key, block in other.parts.items():
+            parts[key] = parts[key] - block if key in parts else -block
+        return SectorOperator(self.L_max, parts)
+
+    def dagger(self) -> "SectorOperator":
+        return SectorOperator(self.L_max, {(j, i): b.conj().T for (i, j), b in self.parts.items()})
+
+    def safe_deviation(self, c: complex = 0.0) -> float:
+        """Max |X - c I| over sectors L <= L_max - 1, the safe block, a
+        missing diagonal block counting as zero."""
+        top = self.L_max - 1
+        residuals = [
+            np.max(np.abs(b - c * np.eye(i + 1) if i == j else b))
+            for (i, j), b in self.parts.items()
+            if i <= top and j <= top
+        ]
+        if any((L, L) not in self.parts for L in range(top + 1)):
+            residuals.append(abs(c))
+        return float(np.max([0.0, *residuals]))
+
+
+def rep_full(g: GL2Matrix, L_max: int) -> SectorOperator:
     """Block-diagonal representation operator on the truncation L <= L_max,
     every sector read off one run of the degree recursion."""
-    if L_max < 0:
-        raise ValueError(f"L_max must be non-negative, got {L_max}")
-    # the blocks share one allocation: scattered over the heap between the
-    # d x d products of the operator checks, they left holes that raised
-    # peak memory by 9 MB in about half the runs at L_max 45
+    _check_degree(L_max)
+    # the blocks share one allocation: scattered over the heap between d x d
+    # arrays, they left holes that raised peak memory by 9 MB in about half
+    # the runs at L_max 45
     store = np.empty((L_max + 1) * (L_max + 2) * (2 * L_max + 3) // 6, dtype=complex)
-    blocks, start = [], 0
+    parts, start = {}, 0
     for L, buf in enumerate(_degree_steps(g, L_max)):
         low = (L + 1) // 2
         monomial = np.concatenate((buf[: L + 1, :low], buf[: L + 1, L_max - L + low :]), axis=1)
         block = store[start : start + (L + 1) ** 2].reshape(L + 1, L + 1)
-        blocks.append(_normalized(monomial, L, out=block))
+        parts[L, L] = _normalized(monomial, L, out=block)
         start += (L + 1) ** 2
-    return BlockDiagOperator(L_max, tuple(blocks))
+    return SectorOperator(L_max, parts)

@@ -38,8 +38,8 @@ import numpy as np
 
 from . import indexing
 from .displacement import displacement_radial
-from .fock import PseudoPair, TruncatedOperator, commutator, pseudo_pair, safe_part
-from .gl2 import GL2Matrix, rep_full
+from .fock import PseudoPair, commutator, pseudo_pair
+from .gl2 import GL2Matrix, SectorOperator, rep_full
 from .quadrature import polar_scheme
 
 
@@ -83,10 +83,8 @@ def drift_weight(alpha: complex, beta: complex, s: float = 0.0) -> WeightSpec:
 def quantize_linear(w: WeightSpec, g: GL2Matrix, L_max: int):
     """Closed-form quantizations of z and conj(z): (A_z, A_zbar)."""
     pair = pseudo_pair(g, L_max)
-    eye = np.eye(pair.a_op.dim)
-    a_z = pair.a_op.mat - complex(w.dzbar_at_0) * eye
-    a_zbar = pair.b_op.mat + complex(w.dz_at_0) * eye
-    return TruncatedOperator(L_max, a_z), TruncatedOperator(L_max, a_zbar)
+    shift = lambda c: SectorOperator.diagonal(L_max, complex(c))
+    return pair.a_op - shift(w.dzbar_at_0), pair.b_op - shift(-w.dz_at_0)
 
 
 def _sft_factor(kind: str, lam: float):
@@ -108,7 +106,7 @@ def quantize_regularized_oracle(
     w: WeightSpec,
     g: GL2Matrix,
     L_max: int,
-) -> TruncatedOperator:
+) -> np.ndarray:
     """Numeric A_{f} for f in {z e^{-lam|z|^2}, conj(z) e^{-lam|z|^2},
     e^{-lam|z|^2}}, by plane quadrature of F(-z) D(z) w(z) on a 64 x 64
     polar scheme."""
@@ -131,18 +129,18 @@ def quantize_regularized_oracle(
         acc += table[i] * angular
     T = rep_full(g, L_max)
     T_inv = rep_full(g.inv(), L_max)
-    return TruncatedOperator(L_max, T.apply(T_inv.apply_right(acc)))
+    return T.apply(T_inv.apply_right(acc))
 
 
 def oracle_deviation(pair: PseudoPair, kind: str, lam: float, w: WeightSpec) -> float:
     """Max deviation of the lam-regularized oracle for kind "z" ("zbar") from
     the unregularized pair.a_op (pair.b_op) on sectors <= 4, relative to
     the block maximum of the latter."""
-    target = pair.a_op if kind == "z" else pair.b_op
+    target = (pair.a_op if kind == "z" else pair.b_op).mat
     k = indexing.dim(min(4, pair.L_max))
     orc = quantize_regularized_oracle(kind, lam, w, pair.g, pair.L_max)
-    scale = float(np.max(np.abs(target.mat[:k, :k])))
-    return float(np.max(np.abs((orc.mat - target.mat)[:k, :k]))) / scale
+    scale = float(np.max(np.abs(target[:k, :k])))
+    return float(np.max(np.abs((orc - target)[:k, :k]))) / scale
 
 
 def mollified_lowering_diagonal(lam: float, dim: int) -> np.ndarray:
@@ -161,5 +159,4 @@ def mollified_lowering_diagonal(lam: float, dim: int) -> np.ndarray:
 def pseudo_canonical_defect(w: WeightSpec, g: GL2Matrix, L_max: int) -> float:
     """Max deviation of [A_z, A_zbar] - I on the safe block."""
     a_z, a_zbar = quantize_linear(w, g, L_max)
-    comm = safe_part(commutator(a_z.mat, a_zbar.mat), L_max)
-    return float(np.max(np.abs(comm - np.eye(indexing.safe_dim(L_max)))))
+    return commutator(a_z, a_zbar).safe_deviation(1.0)

@@ -7,7 +7,8 @@ element, the hypergeometric form of a Jacobi polynomial, the finite sum of
 a generalized Laguerre polynomial, the double-precision and 40-digit
 Laguerre closed forms of the displacement elements, the exact-rational
 contraction transform, the r = 1 closed forms of the diagonal, the dense products of the shift
-isometries, of the displacement composition and of the metric pair, and,
+isometries, of the displacement composition, of the metric pair and of the
+two-mode, deformed and pseudo-bosonic commutators, and,
 from coefficient grids and exact moments, the
 biorthogonality Gram, the orthonormality Gram and the norm identity.
 Nothing in the library calls them.
@@ -270,7 +271,7 @@ def cuntz_deviation_dense(L_max: int) -> float:
     """The shift-isometry relations S_m^dag S_n = delta_mn (identity on the
     domain, m <= n) and sum_n S_n S_n^dag = I by dense matrix products."""
     d = indexing.dim(L_max)
-    shifts = [cuntz_isometry(n, L_max).mat for n in range(L_max + 1)]
+    shifts = [cuntz_isometry(n, L_max) for n in range(L_max + 1)]
     residuals = [sum(s @ s.conj().T for s in shifts) - np.eye(d)]
     for n, s_n in enumerate(shifts):
         for m in range(n + 1):
@@ -294,3 +295,53 @@ def metric_deviation_dense(g: GL2Matrix, L_max: int) -> float:
     s_phi, s_psi = (op.mat for op in metric_operators(g, L_max))
     residuals = [s_phi @ s_psi - np.eye(len(s_phi)), s_phi - s_phi.conj().T]
     return float(np.max([np.max(np.abs(r)) for r in residuals]))
+
+
+def two_mode_dense(L_max: int):
+    """The two-mode annihilators (a1, a2) as dense d x d matrices, filled
+    entry by entry: a1 e_(n1, n2) = sqrt(n1) e_(n1-1, n2), likewise a2."""
+    d = indexing.dim(L_max)
+    a1 = np.zeros((d, d), dtype=complex)
+    a2 = np.zeros((d, d), dtype=complex)
+    for n in range(d):
+        n1, n2 = indexing.unflatten(n)
+        if n1 >= 1:
+            a1[indexing.flatten(n1 - 1, n2), n] = math.sqrt(n1)
+        if n2 >= 1:
+            a2[indexing.flatten(n1, n2 - 1), n] = math.sqrt(n2)
+    return a1, a2
+
+
+def _safe_commutator_residual(x, y, c, L_max: int) -> float:
+    """Max |[x, y] - c I| on the safe block, by dense d x d products."""
+    s = indexing.safe_dim(L_max)
+    return float(np.max(np.abs((x @ y - y @ x)[:s, :s] - c * np.eye(s))))
+
+
+def _ccr_residuals_dense(lowers, gram, L_max: int) -> list[float]:
+    return [
+        _safe_commutator_residual(x, y.conj().T, gram[i, j], L_max)
+        for i, x in enumerate(lowers)
+        for j, y in enumerate(lowers)
+    ]
+
+
+def ccr_deviation_dense(L_max: int) -> float:
+    """[a_i, a_j^dag] = delta_ij I on the safe block by dense products."""
+    return max(_ccr_residuals_dense(two_mode_dense(L_max), np.eye(2), L_max))
+
+
+def deformed_ccr_deviation_dense(g: GL2Matrix, L_max: int) -> float:
+    """[A_i, A_j^dag] = ((dagger g) g)_ij I on the safe block and [A1, A2] = 0
+    on the whole truncation by dense products, with A1 = conj(g11) a1 +
+    conj(g21) a2 and A2 = conj(g12) a1 + conj(g22) a2."""
+    a1, a2 = two_mode_dense(L_max)
+    A1 = np.conj(g.g11) * a1 + np.conj(g.g21) * a2
+    A2 = np.conj(g.g12) * a1 + np.conj(g.g22) * a2
+    ccr = _ccr_residuals_dense((A1, A2), g.gram().as_array(), L_max)
+    return max(float(np.max(np.abs(A1 @ A2 - A2 @ A1))), *ccr)
+
+
+def pseudo_commutator_deviation_dense(pair) -> float:
+    """[a, b] = I on the safe block by dense products of the pair's matrices."""
+    return _safe_commutator_residual(pair.a_op.mat, pair.b_op.mat, 1.0, pair.L_max)

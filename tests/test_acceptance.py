@@ -12,7 +12,6 @@ NaN deviation fails instead of reading as a pass.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ def test_acceptance_criterion(number):
 
 def _exact_oracle(kind, lam, w, g, L_max):
     pair = pseudo_pair(g, L_max)
-    return pair.a_op if kind == "z" else pair.b_op
+    return (pair.a_op if kind == "z" else pair.b_op).mat
 
 
 def _predict_at(monkeypatch, lam):
@@ -77,8 +76,7 @@ class TestQuantizationCriterion:
     def test_nan_oracle_deviation_fails(self, monkeypatch):
         def nan_zbar(kind, lam, w, g, L_max):
             op = _exact_oracle(kind, lam, w, g, L_max)
-            # TruncatedOperator rejects NaN entries, so stand in a bare matrix
-            return SimpleNamespace(mat=np.full_like(op.mat, np.nan)) if kind == "zbar" else op
+            return np.full_like(op, np.nan) if kind == "zbar" else op
 
         monkeypatch.setattr(quantize, "quantize_regularized_oracle", nan_zbar)
         result = criterion_11_quantization()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pblab import acceptance, deformed, fock, gl2
+from pblab import acceptance, deformed, gl2
 from pblab.acceptance import CriterionResult
 from pblab.cli import main, parse_complex, parse_gl2
 
@@ -154,6 +154,22 @@ class TestSubcommands:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error:") and option in captured.err
 
+    @pytest.mark.parametrize("check, L", [("star", "1030"), ("diag", "1100")])
+    def test_degree_past_double_range_exits_two(self, capsys, check, L):
+        code = main(["rep", "--g", "0.6,0.8,-0.8,0.6", "--L", L, "--check", check])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "1029" in captured.err
+
+    def test_fock_all_at_L100(self, capsys):
+        # blockwise: dim 5151, where one dense d x d matrix would take 424 MB
+        _, out = run_cli(capsys, "fock", "--g", "1.1,0.2,0.1,0.9", "--l-max", "100")
+        names = [row["check"] for row in json.loads(out)["results"]]
+        assert names == [
+            "two-mode-ccr", "deformed-ccr", "pseudo-commutator",
+            "ladder-on-deformed-family", "cuntz-relations", "metric-inverse-pair",
+        ]
+
     def test_star_law_at_L100(self, capsys):
         # a 1.01-scaled rotation by pi/4: the q-sum summed directly cancels
         # to about 1e-5 of the block maximum here
@@ -294,13 +310,13 @@ def _nan_on_call(monkeypatch, module, name, nth):
 
 class TestNaNFails:
     # each NaN lands in a term after the first: the second family's node
-    # values, the second commutator, and (three blocks per trial) the second
-    # trial
+    # values, the second commutator's safe-block deviation, and (three
+    # blocks per trial) the second trial
     @pytest.mark.parametrize(
         "module, name, nth, argv",
         [
             (deformed, "family_values", 2, ["hermite", "--check", "orthonormality", "--max-degree", "3"]),
-            (fock, "commutator", 2, ["fock", "--l-max", "4", "--check", "ccr"]),
+            (gl2.SectorOperator, "safe_deviation", 2, ["fock", "--l-max", "4", "--check", "ccr"]),
             (gl2, "rep_block", 5, ["rep", "--g", "1,1,0,1", "--L", "3", "--trials", "3"]),
         ],
         ids=["hermite-orthonormality", "fock-ccr", "rep-homomorphism"],

@@ -338,7 +338,7 @@ class TestNormGrowth:
         # flat index n sits in sector L ~ sqrt(2n), so norms grow like
         # (tr Gram)^{L/4} and the envelope r = sqrt(tr Gram) holds with
         # plenty of slack up to n = 104 (L_max = 13)
-        Td = rep_full(SHEAR, 13).dense()
+        Td = rep_full(SHEAR, 13).mat
         norms = np.linalg.norm(Td, axis=0)
         assert norm_growth_check(norms, math.sqrt(3.0), 0.0)
 
@@ -347,7 +347,7 @@ class TestNormGrowth:
         T = rep_full(g, 10)
         for op, gram in ((T, g.gram()), (rep_full(dual(g), 10), g.gram().inv())):
             norms, r, ok = norm_growth_certificate(op, gram)
-            assert np.allclose(norms, np.linalg.norm(op.dense(), axis=0), rtol=1e-15, atol=0)
+            assert np.allclose(norms, np.linalg.norm(op.mat, axis=0), rtol=1e-15, atol=0)
             assert r == pytest.approx(math.sqrt((gram.g11 + gram.g22).real), rel=1e-15)
             assert ok == norm_growth_check(norms, r, 0.0)
 

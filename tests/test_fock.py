@@ -5,7 +5,6 @@ import pytest
 
 from pblab import fock, indexing
 from pblab.fock import (
-    TruncatedOperator,
     commutator,
     cuntz_deviation,
     cuntz_domain_dim,
@@ -25,7 +24,16 @@ from pblab.displacement import coherent_coefficients, resolution_check
 from pblab.quadrature import polar_scheme
 from pblab.quantize import quantize_regularized_oracle, unit_weight
 
-from oracles import cuntz_deviation_dense, metric_deviation_dense, qsum_magnitude, rep_block_mpmath
+from oracles import (
+    ccr_deviation_dense,
+    cuntz_deviation_dense,
+    deformed_ccr_deviation_dense,
+    metric_deviation_dense,
+    pseudo_commutator_deviation_dense,
+    qsum_magnitude,
+    rep_block_mpmath,
+    two_mode_dense,
+)
 
 SHEAR = GL2Matrix(1, 1, 0, 1)
 L12 = 12
@@ -201,13 +209,13 @@ class TestPseudoPair:
             eye = np.eye(pair.a_op.dim)
             for n in range(pair.a_op.dim):
                 assert np.array_equal(pair.vec_phi(n), pair.T.apply(eye[n]))
-                assert np.array_equal(pair.vec_psi(n), pair.T_inv.dense().conj().T @ eye[n])
+                assert np.array_equal(pair.vec_psi(n), pair.T_inv.mat.conj().T @ eye[n])
 
 
 def dense_conjugation(g, L_max, x):
     """Dense-product oracle for T(g) x T(g)^{-1}."""
     T = rep_full(g, L_max)
-    return T.dense() @ x @ np.linalg.inv(T.dense())
+    return T.mat @ x @ np.linalg.inv(T.mat)
 
 
 def rel_dev(got, ref):
@@ -247,10 +255,36 @@ class TestBlockwiseConjugation:
     def test_quantize_oracle(self):
         # at g = I the oracle is the unconjugated quadrature sum
         L_max, lam, w = 6, 0.01, unit_weight()
-        flat = quantize_regularized_oracle("z", lam, w, GL2Matrix.identity(), L_max).mat
+        flat = quantize_regularized_oracle("z", lam, w, GL2Matrix.identity(), L_max)
         for g in CONJUGATION_MATRICES:
-            got = quantize_regularized_oracle("z", lam, w, g, L_max).mat
+            got = quantize_regularized_oracle("z", lam, w, g, L_max)
             assert rel_dev(got, dense_conjugation(g, L_max, flat)) <= 1e-12
+
+
+class TestCommutatorsAgainstDenseProducts:
+    """The blockwise commutator checks against dense d x d products."""
+
+    @pytest.mark.parametrize("L_max", range(1, 13))
+    def test_small_truncations(self, L_max):
+        close = lambda ref: pytest.approx(ref, rel=1e-12, abs=5e-14)
+        assert fock.ccr_deviation(L_max) == close(ccr_deviation_dense(L_max))
+        for g in CONJUGATION_MATRICES:
+            assert fock.deformed_ccr_deviation(g, L_max) == close(deformed_ccr_deviation_dense(g, L_max))
+            pair = pseudo_pair(g, L_max)
+            assert fock.pseudo_commutator_deviation(pair) == close(pseudo_commutator_deviation_dense(pair))
+
+    @pytest.mark.parametrize("L_max", [1, 2, 7])
+    def test_ladder_blocks_equal_entrywise_construction(self, L_max):
+        a1, _, a2, _ = two_mode(L_max)
+        assert all(np.array_equal(x.mat, y) for x, y in zip((a1, a2), two_mode_dense(L_max)))
+        lower, raiser = ladder(L_max)
+        flat = np.diag(np.sqrt(np.arange(1, indexing.dim(L_max))), k=1)
+        assert np.array_equal(lower.mat, flat) and np.array_equal(raiser.mat, flat.T)
+
+    def test_two_mode_checks_at_L100(self):
+        # dim 5151: one dense d x d matrix would take 424 MB
+        assert fock.ccr_deviation(100) <= 1e-13
+        assert fock.deformed_ccr_deviation(GL2Matrix(1.1, 0.2, 0.1, 0.9), 100) <= 1e-12
 
 
 _GROUP_LAW_RNG = np.random.default_rng(40)
@@ -282,15 +316,15 @@ class TestCuntz:
     def test_base_images(self):
         S0 = cuntz_isometry(0, L12)
         S1 = cuntz_isometry(1, L12)
-        assert S0.mat[0, 0] == 1.0  # e_0 -> e_flatten(0,0) = e_0
-        assert S1.mat[1, 0] == 1.0  # e_0 -> e_flatten(0,1) = e_1
+        assert S0[0, 0] == 1.0  # e_0 -> e_flatten(0,0) = e_0
+        assert S1[1, 0] == 1.0  # e_0 -> e_flatten(0,1) = e_1
 
     def test_partial_isometry_relations_exact(self):
         S = {n: cuntz_isometry(n, L12) for n in range(5)}
         d = indexing.dim(L12)
         for m in range(5):
             for n in range(5):
-                prod = S[m].mat.conj().T @ S[n].mat
+                prod = S[m].conj().T @ S[n]
                 expect = np.zeros((d, d))
                 if m == n:
                     k = cuntz_domain_dim(n, L12)
@@ -300,7 +334,7 @@ class TestCuntz:
     def test_range_projections_resolve_identity(self):
         d = indexing.dim(L12)
         total = sum(
-            cuntz_isometry(n, L12).mat @ cuntz_isometry(n, L12).mat.conj().T
+            cuntz_isometry(n, L12) @ cuntz_isometry(n, L12).conj().T
             for n in range(L12 + 1)
         )
         assert np.array_equal(total, np.eye(d))
@@ -309,7 +343,7 @@ class TestCuntz:
         a1, _, a2, _ = two_mode(L12)
         B, _ = ladder(L12)
         for n in (0, 1, 3):
-            S = cuntz_isometry(n, L12).mat
+            S = cuntz_isometry(n, L12)
             k = cuntz_domain_dim(n, L12)
             lowered = (S.conj().T @ a1.mat @ S)[:k, :k]
             assert np.max(np.abs(lowered - B.mat[:k, :k])) == 0.0
@@ -318,7 +352,7 @@ class TestCuntz:
 
     def test_images_are_the_nonzero_rows(self):
         for n in (0, 4, L12):
-            rows, cols = np.nonzero(cuntz_isometry(n, L12).mat)
+            rows, cols = np.nonzero(cuntz_isometry(n, L12))
             assert np.array_equal(cols, np.arange(cuntz_domain_dim(n, L12)))
             assert np.array_equal(rows, cuntz_images(n, L12))
 
@@ -403,16 +437,9 @@ class TestMetricOperators:
 
         rng = np.random.default_rng(6)
         g = random_gl2(rng, 0.6, 1.8)
-        Td = rep_full(g, 6).dense()
+        Td = rep_full(g, 6).mat
         gram = Td.conj().T @ Td
         for n in range(gram.shape[0]):
             n1, n2 = indexing.unflatten(n)
             assert gram[n, n].real == pytest.approx(norm_sq(g, n1, n2), rel=1e-11)
 
-
-class TestSerialization:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            TruncatedOperator(2, np.eye(4, dtype=complex))
-        with pytest.raises(ValueError):
-            TruncatedOperator(1, np.full((3, 3), np.nan, dtype=complex))

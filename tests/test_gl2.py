@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from pblab.gl2 import (
-    BlockDiagOperator,
+    MAX_DEGREE,
     GL2Matrix,
+    SectorOperator,
     dual,
     random_gl2,
     rep_block,
@@ -235,20 +236,20 @@ class TestRepDiag:
 class TestRepFull:
     def test_identity_dense(self):
         op = rep_full(GL2Matrix.identity(), 3)
-        assert np.allclose(op.dense(), np.eye(10))
+        assert np.allclose(op.mat, np.eye(10))
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(5)
         g = random_gl2(rng)
         full = rep_full(g, 8)
-        prod = full.dense() @ rep_full(g.inv(), 8).dense()
+        prod = full.mat @ rep_full(g.inv(), 8).mat
         assert np.max(np.abs(prod - np.eye(full.dim))) <= 1e-10
 
     def test_star_property_dense(self):
         rng = np.random.default_rng(6)
         g = random_gl2(rng)
-        lhs = rep_full(g, 6).dense().conj().T
-        rhs = rep_full(g.dagger(), 6).dense()
+        lhs = rep_full(g, 6).mat.conj().T
+        rhs = rep_full(g.dagger(), 6).mat
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
     def test_blockwise_inv_and_apply(self):
@@ -257,13 +258,13 @@ class TestRepFull:
         full = rep_full(g, 5)
         vec = rng.normal(size=full.dim) + 1j * rng.normal(size=full.dim)
         assert np.allclose(rep_full(g.inv(), 5).apply(full.apply(vec)), vec, atol=1e-10)
-        assert np.allclose(full.apply(vec), full.dense() @ vec, atol=1e-12)
+        assert np.allclose(full.apply(vec), full.mat @ vec, atol=1e-12)
 
     def test_apply_on_matrices_matches_dense_products(self):
         rng = np.random.default_rng(10)
         full = rep_full(random_gl2(rng), 6)
         x = rng.normal(size=(full.dim, full.dim)) + 1j * rng.normal(size=(full.dim, full.dim))
-        dense = full.dense()
+        dense = full.mat
         for got, ref in ((full.apply(x), dense @ x), (full.apply_right(x), x @ dense)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -276,8 +277,69 @@ class TestRepFull:
                 assert np.array_equal(full.blocks[L], rep_block(g, L)), L
 
     def test_block_shapes_validated(self):
-        with pytest.raises(ValueError):
-            BlockDiagOperator(1, (np.eye(1),))
-        with pytest.raises(ValueError):
-            BlockDiagOperator(0, (np.eye(2),))
+        # a key outside 0..L_max, a block of the wrong shape, a NaN entry
+        with pytest.raises(ValueError, match="does not fit"):
+            SectorOperator(1, {(2, 2): np.eye(3)})
+        with pytest.raises(ValueError, match="does not fit"):
+            SectorOperator(1, {(0, -1): np.zeros((1, 0))})
+        with pytest.raises(ValueError, match="does not fit"):
+            SectorOperator(1, {(0, 1): np.eye(2)})
+        with pytest.raises(ValueError, match="non-finite"):
+            SectorOperator(1, {(1, 1): np.full((2, 2), np.nan, dtype=complex)})
 
+
+class TestDegreeLimit:
+    def test_degrees_past_double_range_rejected(self):
+        # C(1030, 515) is about 2.9e308, past the largest finite double
+        g = GL2Matrix(0.6, 0.8, -0.8, 0.6)
+        assert MAX_DEGREE == 1029
+        with pytest.raises(ValueError, match="1029"):
+            rep_block(g, MAX_DEGREE + 1)
+        with pytest.raises(ValueError, match="1029"):
+            rep_full(g, MAX_DEGREE + 1)
+
+
+def _random_sector_operator(rng, L_max, keys):
+    return SectorOperator(
+        L_max,
+        {(i, j): rng.normal(size=(i + 1, j + 1)) + 1j * rng.normal(size=(i + 1, j + 1)) for i, j in keys},
+    )
+
+
+class TestSectorOperator:
+    # blocks at sector offsets -1, 0 and +1, one far block, and a missing
+    # diagonal block (sector 2)
+    KEYS_X = [(0, 0), (1, 1), (3, 3), (0, 1), (2, 1), (3, 2), (0, 3)]
+    KEYS_Y = [(0, 0), (1, 1), (2, 2), (1, 0), (2, 3), (3, 0)]
+
+    def test_algebra_matches_dense_products(self):
+        rng = np.random.default_rng(30)
+        x = _random_sector_operator(rng, 3, self.KEYS_X)
+        y = _random_sector_operator(rng, 3, self.KEYS_Y)
+        for got, ref in (
+            ((x @ y).mat, x.mat @ y.mat),
+            ((y @ x).mat, y.mat @ x.mat),
+            ((x - y).mat, x.mat - y.mat),
+            (x.dagger().mat, x.mat.conj().T),
+        ):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        v = rng.normal(size=(x.dim, 3))
+        assert np.max(np.abs(x.apply(v) - x.mat @ v)) <= 1e-13
+        assert np.max(np.abs(x.apply_right(v.T) - v.T @ x.mat)) <= 1e-13
+        assert np.array_equal(x.blocks[2], np.zeros((3, 3)))
+
+    def test_safe_deviation_reads_the_safe_block(self):
+        rng = np.random.default_rng(31)
+        x = _random_sector_operator(rng, 3, self.KEYS_X)
+        s = x.safe_dim
+        for c in (0.0, 1.0, 2.5 - 1j):
+            ref = np.max(np.abs(x.mat[:s, :s] - c * np.eye(s)))
+            assert x.safe_deviation(c) == pytest.approx(ref, rel=1e-15)
+        # a missing diagonal block on the safe block counts as zero
+        assert SectorOperator(2, {(0, 0): np.eye(1)}).safe_deviation(1.0) == 1.0
+        assert SectorOperator(2, {}).safe_deviation(0.0) == 0.0
+
+    def test_overflowing_product_rejected(self):
+        x = SectorOperator(1, {(1, 1): np.full((2, 2), 1e200)})
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            x @ x

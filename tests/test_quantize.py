@@ -75,10 +75,10 @@ class TestRegularizedOracle:
         # sqrt(n) (1+lam/2)^{-2} (1 - lam/(1+lam/2))^{n-1}
         lam = 0.01
         orc = quantize_regularized_oracle("z", lam, unit_weight(), IDENT, 8)
-        sub = np.array([orc.mat[n - 1, n] for n in range(1, orc.dim)])
-        assert np.max(np.abs(sub - mollified_lowering_diagonal(lam, orc.dim))) <= 1e-10
-        off = orc.mat.copy()
-        for n in range(1, orc.dim):
+        sub = np.array([orc[n - 1, n] for n in range(1, len(orc))])
+        assert np.max(np.abs(sub - mollified_lowering_diagonal(lam, len(orc)))) <= 1e-10
+        off = orc.copy()
+        for n in range(1, len(orc)):
             off[n - 1, n] = 0.0
         assert np.max(np.abs(off)) <= 1e-12
 
@@ -86,22 +86,22 @@ class TestRegularizedOracle:
         lam = 0.01
         oz = quantize_regularized_oracle("z", lam, unit_weight(), IDENT, 6)
         ozb = quantize_regularized_oracle("zbar", lam, unit_weight(), IDENT, 6)
-        assert np.max(np.abs(ozb.mat - oz.mat.conj().T)) <= 1e-12
+        assert np.max(np.abs(ozb - oz.conj().T)) <= 1e-12
 
     def test_unity_quantization_matches_analytic_diagonal(self):
         # diagonal (1+lam/2)^{-1} (1 - lam/(1+lam/2))^n, approaching 1 as
         # lam -> 0; off-diagonals vanish by the angular integral
         lam = 0.01
         orc = quantize_regularized_oracle("one", lam, unit_weight(), IDENT, 8)
-        n = np.arange(orc.dim)
+        n = np.arange(len(orc))
         pred = (1 + lam / 2) ** (-1.0) * (1 - lam / (1 + lam / 2)) ** n
-        assert np.max(np.abs(np.diag(orc.mat) - pred)) <= 1e-10
-        assert np.max(np.abs(orc.mat - np.diag(np.diag(orc.mat)))) <= 1e-12
+        assert np.max(np.abs(np.diag(orc) - pred)) <= 1e-10
+        assert np.max(np.abs(orc - np.diag(np.diag(orc)))) <= 1e-12
 
     def test_unity_quantization_approaches_identity(self):
         orc = quantize_regularized_oracle("one", 1e-3, unit_weight(), IDENT, 8)
         k = indexing.dim(4)
-        assert np.max(np.abs((orc.mat - np.eye(orc.dim))[:k, :k])) <= 0.02
+        assert np.max(np.abs((orc - np.eye(len(orc)))[:k, :k])) <= 0.02
 
     def test_convergence_in_lambda(self):
         # entrywise bias shrinks linearly in the regularizer
@@ -110,7 +110,7 @@ class TestRegularizedOracle:
         devs = []
         for lam in (0.02, 0.01, 0.005):
             orc = quantize_regularized_oracle("z", lam, unit_weight(), IDENT, 6)
-            devs.append(np.max(np.abs((orc.mat - pair.a_op.mat)[:k, :k])))
+            devs.append(np.max(np.abs((orc - pair.a_op.mat)[:k, :k])))
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] <= 0.55 * devs[1] + 1e-9
 
@@ -122,7 +122,7 @@ class TestRegularizedOracle:
         pair = pseudo_pair(SHEAR, 8)
         orc = quantize_regularized_oracle("z", lam, unit_weight(), SHEAR, 8)
         k = indexing.dim(4)
-        dev = np.max(np.abs((orc.mat - pair.a_op.mat)[:k, :k]))
+        dev = np.max(np.abs((orc - pair.a_op.mat)[:k, :k]))
         assert dev <= 0.02 * np.max(np.abs(pair.a_op.mat[:k, :k]))
 
     def test_deformed_oracle_follows_conjugation(self):
@@ -132,8 +132,8 @@ class TestRegularizedOracle:
         from pblab.gl2 import rep_full
 
         T = rep_full(SHEAR, 6)
-        expect = T.dense() @ oc.mat @ np.linalg.inv(T.dense())
-        assert np.max(np.abs(og.mat - expect)) <= 1e-10
+        expect = T.mat @ oc @ np.linalg.inv(T.mat)
+        assert np.max(np.abs(og - expect)) <= 1e-10
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
