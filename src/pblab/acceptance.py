@@ -18,8 +18,8 @@ from .asymptotics import laplace_root, ratio_row
 from .deformed import (
     NORM_BOUND_LOG_SLACK,
     biorth_gram,
-    deformed_coeffs,
-    deformed_via_rep,
+    combine_sector,
+    deformed_sector,
     norm_bound_violation,
     norm_identity_deviation,
     riesz_growth,
@@ -43,7 +43,14 @@ from .fock import (
     pseudo_pair,
 )
 from .gl2 import GL2Matrix, homomorphism_deviation, inverse_deviation, random_gl2, rep_full, star_deviation
-from .hermite import hermite_terms_exact, hermite_via_contraction, inner_exact
+from .hermite import (
+    exp_contraction,
+    hermite_sector,
+    hermite_terms_exact,
+    inner_exact,
+    monomial_basis,
+    sector_stack,
+)
 from .quantize import (
     drift_weight,
     isotropic_gaussian_weight,
@@ -110,23 +117,26 @@ def criterion_01_orthonormality() -> CriterionResult:
 
 
 def criterion_02_construction_equivalence() -> CriterionResult:
-    """Three routes to the deformed polynomials agree entrywise to 1e-10."""
+    """Three routes to the deformed polynomials agree entrywise to 1e-10.
+
+    Each sector L <= 8 compares three stacks of its L+1 grids: the
+    contracted expanded monomials, and the columns of T^L(g) combined with
+    the Hermite grids and with the contracted plain monomials.
+    """
     tol = 1e-10
     rng = np.random.default_rng(0)
     worst = 0.0
-    contracted = [[hermite_via_contraction(mp, L - mp) for mp in range(L + 1)] for L in range(9)]
+    hermite = [hermite_sector(L) for L in range(9)]
+    contracted = [
+        exp_contraction(sector_stack([monomial_basis(m, L - m) for m in range(L + 1)], L)) for L in range(9)
+    ]
     for _ in range(10):
         g = random_gl2(rng)
-        for L, (block, grids) in enumerate(zip(rep_full(g, 8).blocks, contracted)):
-            for n1 in range(L + 1):
-                a = deformed_coeffs(g, n1, L - n1)
-                b = deformed_via_rep(g, n1, L - n1)
-                c = sum(
-                    (h.scaled(block[mp, n1]) for mp, h in enumerate(grids)),
-                    start=a.scaled(0.0),
-                )
-                worst = _worst(worst, float(np.max(np.abs((a - b).coeff))))
-                worst = _worst(worst, float(np.max(np.abs((a - c).coeff))))
+        for L, block in enumerate(rep_full(g, 8).blocks):
+            a = deformed_sector(g, L, range(L + 1))
+            b = combine_sector(block, hermite[L])
+            c = combine_sector(block, contracted[L])
+            worst = _worst(worst, float(np.max(np.abs(a - b))), float(np.max(np.abs(a - c))))
     return CriterionResult(
         2,
         "construction equivalence of deformed polynomials (3 routes, L <= 8)",

@@ -363,6 +363,8 @@ def cmd_suite(args) -> int:
             "pass": res.passed,
             "runtime_s": round(res.runtime_s, 3),
         }
+        if args.format == "json":  # a CSV row has no room for a nested dict
+            row["details"] = res.details
         results.append(row)
     return emit_report(args, "suite", {}, results, all_pass)
 

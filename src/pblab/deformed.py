@@ -24,39 +24,70 @@ import numpy as np
 
 from . import indexing
 from .gl2 import GL2Matrix, dual, rep_block, rep_diag, rep_diag_log
-from .hermite import PolyCoeffs, exp_contraction, hermite_coeffs, inner
+from .hermite import PolyCoeffs, exp_contraction, hermite_sector, inner
 from .quadrature import tensor_hermite_scheme
 from .special import log_binomial
 
 
-def _expanded_monomial(g: GL2Matrix, n1: int, n2: int) -> PolyCoeffs:
-    """Grid of (g11 z + g21 zbar)^n1 (g12 z + g22 zbar)^n2 / sqrt(n1! n2!)."""
-    grid = np.zeros((n1 + n2 + 1, n1 + n2 + 1), dtype=complex)
-    first = [math.comb(n1, j) * g.g11**j * g.g21 ** (n1 - j) for j in range(n1 + 1)]
-    second = [math.comb(n2, l) * g.g12**l * g.g22 ** (n2 - l) for l in range(n2 + 1)]
-    for j, cj in enumerate(first):
-        for l, cl in enumerate(second):
-            grid[j + l, (n1 - j) + (n2 - l)] += cj * cl
-    norm = math.exp(-0.5 * (math.lgamma(n1 + 1) + math.lgamma(n2 + 1)))
-    return PolyCoeffs(grid * norm)
+def _expanded_monomials(g: GL2Matrix, L: int, n1s) -> np.ndarray:
+    """Grids of (g11 z + g21 zbar)^n1 (g12 z + g22 zbar)^(L-n1) / sqrt(n1! (L-n1)!)
+    for n1 in n1s, stacked (len(n1s), L+1, L+1).
+
+    The binomial coefficients are scalars, one per power; their products are
+    taken as real and imaginary parts, so no fused multiply-add rounds them
+    differently from a scalar complex product.  Only anti-diagonal entries
+    [s, L-s] are nonzero, the products with j + l = s added in order of j.
+    """
+    first = np.zeros((len(n1s), L + 1), dtype=complex)
+    second = np.zeros((len(n1s), L + 1), dtype=complex)
+    for row, n1 in enumerate(n1s):
+        n2 = L - n1
+        first[row, : n1 + 1] = [math.comb(n1, j) * g.g11**j * g.g21 ** (n1 - j) for j in range(n1 + 1)]
+        second[row, : n2 + 1] = [math.comb(n2, l) * g.g12**l * g.g22 ** (n2 - l) for l in range(n2 + 1)]
+    a, b = first[:, :, None], second[:, None, :]
+    products = np.empty((len(n1s), L + 1, L + 1), dtype=complex)
+    products.real = a.real * b.real - a.imag * b.imag
+    products.imag = a.real * b.imag + a.imag * b.real
+    # sums[:, s] = sum_j products[:, j, s - j]; zero padding adds exact zeros
+    sums = np.zeros((len(n1s), 2 * L + 1), dtype=complex)
+    for j in range(L + 1):
+        sums[:, j : j + L + 1] += products[:, j]
+    norm = np.array([math.exp(-0.5 * (math.lgamma(n1 + 1) + math.lgamma(L - n1 + 1))) for n1 in n1s])
+    out = np.zeros((len(n1s), L + 1, L + 1), dtype=complex)
+    s = np.arange(L + 1)
+    out[:, s, L - s] = sums[:, : L + 1] * norm[:, None]
+    return out
+
+
+def deformed_sector(g: GL2Matrix, L: int, n1s) -> np.ndarray:
+    """Grids of h^g_{n1, L-n1} for n1 in n1s, stacked (len(n1s), L+1, L+1):
+    one contraction of the stacked expanded monomials."""
+    return exp_contraction(_expanded_monomials(g, L, n1s))
+
+
+def combine_sector(cols: np.ndarray, grids: np.ndarray) -> np.ndarray:
+    """The grids sum_{m'} cols[m', i] grids[m'], one per column i, stacked.
+
+    The terms are added onto zero in order of m'; a BLAS product would
+    reorder the sum.
+    """
+    out = np.zeros((cols.shape[1],) + grids.shape[1:], dtype=complex)
+    for row, grid in zip(cols, grids):
+        out += row[:, None, None] * grid
+    return out
 
 
 def deformed_coeffs(g: GL2Matrix, n1: int, n2: int) -> PolyCoeffs:
     """h^g_{n1,n2} by expanding the deformed monomial and contracting."""
     if n1 < 0 or n2 < 0:
         raise ValueError(f"mode indices must be non-negative, got ({n1}, {n2})")
-    return exp_contraction(_expanded_monomial(g, n1, n2))
+    return PolyCoeffs(deformed_sector(g, n1 + n2, [n1])[0])
 
 
 def deformed_via_rep(g: GL2Matrix, n1: int, n2: int) -> PolyCoeffs:
     """h^g_{n1,n2} as the T^L-column combination of undeformed polynomials."""
     L = n1 + n2
-    col = rep_block(g, L)[:, n1]
-    out = PolyCoeffs.zero()
-    for mp in range(L + 1):
-        if col[mp] != 0:
-            out = out + hermite_coeffs(mp, L - mp).scaled(col[mp])
-    return out
+    return PolyCoeffs(combine_sector(rep_block(g, L)[:, [n1]], hermite_sector(L))[0])
 
 
 def dual_coeffs(g: GL2Matrix, n1: int, n2: int) -> PolyCoeffs:

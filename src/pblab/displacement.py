@@ -41,9 +41,11 @@ def wedge(z1: complex, z2: complex) -> float:
     return z1.real * z2.imag - z2.real * z1.imag
 
 
-def displacement_radial(t, dim: int) -> np.ndarray:
-    """Real radial part R of the displacement elements at every t, of shape
-    t.shape + (dim, dim): D[m, n](sqrt(t) e^{i th}) = R[m, n] e^{i th (m-n)}.
+def displacement_radial(t, dim: int, cols: int | None = None) -> np.ndarray:
+    """Real radial part R of the displacement elements at every t: the first
+    ``cols`` columns (all dim of them by default) of the dim x dim matrix,
+    of shape t.shape + (dim, cols), with
+    D[m, n](sqrt(t) e^{i th}) = R[m, n] e^{i th (m-n)}.
 
     The lower triangle holds R[n+a, n] = f_n^a(t), filled column by column
     from the normalized recurrence (DLMF 18.9.13)
@@ -54,18 +56,23 @@ def displacement_radial(t, dim: int) -> np.ndarray:
     triangle is R[n, n+a] = (-1)^a f_n^a.  The recurrence runs on
     g = f_n^a e^{-c} from g = 1 and c = log f_0^a; g is divided by a power
     of two, and c raised to match, whenever it passes 2^600, so neither the
-    underflow of e^{-t/2} nor the growth of L_n^a leaves double range.
+    underflow of e^{-t/2} nor the growth of L_n^a leaves double range.  It
+    runs for every a and stops after column cols - 1, so each entry of the
+    strip equals the full matrix's entry bit for bit.
     """
+    cols = dim if cols is None else cols
+    if not 1 <= cols <= dim:
+        raise ValueError(f"need 1 <= cols <= dim = {dim}, got {cols}")
     shape = np.shape(t)
     t = np.asarray(t, dtype=float).reshape(-1)
-    # built as (dim, dim, t.size) so every step runs along contiguous t
-    out = np.empty((dim, dim, t.size))
+    # built as (dim, cols, t.size) so every step runs along contiguous t
+    out = np.empty((dim, cols, t.size))
     a = np.arange(dim)[:, None]
     # xlogy gives 0 log 0 = 0, so at t = 0 the column is exactly e_0
     c = -t / 2 + xlogy(a / 2, t) - 0.5 * gammaln(a + 1)
     out[:, 0] = scale = np.exp(c)
     prev, g = np.zeros_like(scale), np.ones_like(scale)
-    for n in range(dim - 1):
+    for n in range(cols - 1):
         k = dim - 1 - n
         a = a[:k]
         step = (2 * n + a + 1 - t) * g[:k] - np.sqrt(n * (n + a)) * prev[:k]
@@ -76,14 +83,15 @@ def displacement_radial(t, dim: int) -> np.ndarray:
             c[:k] += shift * math.log(2)
             scale[:k] = np.exp(c[:k])
         out[n + 1 :, n + 1] = g * scale[:k]
-    sign = np.where(np.arange(dim) % 2, -1.0, 1.0)[:, None]
-    for n in range(dim - 1):
-        out[n, n + 1 :] = sign[1 : dim - n] * out[n + 1 :, n]
-    return np.moveaxis(out.reshape((dim, dim) + shape), (0, 1), (-2, -1))
+    sign = np.where(np.arange(cols) % 2, -1.0, 1.0)[:, None]
+    for n in range(cols - 1):
+        out[n, n + 1 :] = sign[1 : cols - n] * out[n + 1 : cols, n]
+    return np.moveaxis(out.reshape((dim, cols) + shape), (0, 1), (-2, -1))
 
 
-def canonical_displacement(z: complex, dim: int) -> np.ndarray:
-    """dim x dim matrix of the displacement elements at z."""
+def canonical_displacement(z: complex, dim: int, cols: int | None = None) -> np.ndarray:
+    """The first ``cols`` columns (all dim by default) of the dim x dim
+    matrix of displacement elements at z."""
     if dim < 1:
         raise ValueError(f"need dim >= 1, got {dim}")
     z = complex(z)
@@ -91,7 +99,15 @@ def canonical_displacement(z: complex, dim: int) -> np.ndarray:
     # e^{-i th a} is the conjugate of e^{i th a} bit for bit
     row = np.exp(1j * np.angle(z) * np.arange(1 - dim, dim))
     phase = np.lib.stride_tricks.sliding_window_view(row, dim)[:, ::-1]
-    return displacement_radial(abs(z) ** 2, dim) * phase
+    return displacement_radial(abs(z) ** 2, dim, cols) * phase[:, :cols]
+
+
+def _displacement_rows(z: complex, dim: int, k: int) -> np.ndarray:
+    """Rows m < k of the dim x dim displacement matrix at z, as a C-ordered
+    k x dim array, mirrored from its first k columns: the construction makes
+    D[m, n] = (-1)^(m-n) conj(D[n, m]) hold bit for bit."""
+    sign = np.where((np.arange(dim)[:, None] + np.arange(k)) % 2, -1.0, 1.0)
+    return np.ascontiguousarray((canonical_displacement(z, dim, k).conj() * sign).T)
 
 
 def _check_dim(check_L: int, L_max: int) -> int:
@@ -110,8 +126,8 @@ def compose_check(z1: complex, z2: complex, L_max: int, check_L: int) -> float:
     """
     k = _check_dim(check_L, L_max)
     d = indexing.dim(L_max)
-    prod = canonical_displacement(z1, d)[:k] @ canonical_displacement(z2, d)[:, :k]
-    direct = math.e ** (-1j * wedge(z1, z2)) * canonical_displacement(z1 + z2, d)[:k, :k]
+    prod = _displacement_rows(z1, d, k) @ canonical_displacement(z2, d, k)
+    direct = math.e ** (-1j * wedge(z1, z2)) * canonical_displacement(z1 + z2, d, k)[:k]
     return float(np.max(np.abs(prod - direct)))
 
 
@@ -211,17 +227,18 @@ def covariance_check(z: complex, zp: complex, g: GL2Matrix, L_max: int, check_L:
     """
     k = _check_dim(check_L, L_max)
     d = indexing.dim(L_max)
-    T = rep_full(g, L_max)
-    T_tilde = rep_full(dual(g), L_max)
-    dcan_z = canonical_displacement(z, d)
+    # T(g) is block-diagonal, so sectors <= check_L of T v need only v[:k],
+    # and rep_full(g, check_L)'s blocks are rep_full(g, L_max)'s bit for bit
+    T = rep_full(g, check_L)
+    T_tilde = rep_full(dual(g), check_L)
     phase = math.e ** (-1j * wedge(z, zp))
 
     # both deformed relations reduce to the canonical action on coefficients:
     # T(g) D T(g)^{-1} [T(g) v] = T(g) [D v], likewise for the dual family
-    displaced = dcan_z @ coherent_coefficients(zp, d)
-    shifted = phase * coherent_coefficients(z + zp, d)
-    dev_phi = np.max(np.abs((T.apply(displaced) - T.apply(shifted))[:k]))
-    dev_psi = np.max(np.abs((T_tilde.apply(displaced) - T_tilde.apply(shifted))[:k]))
+    displaced = _displacement_rows(z, d, k) @ coherent_coefficients(zp, d)
+    shifted = phase * coherent_coefficients(z + zp, d)[:k]
+    dev_phi = np.max(np.abs(T.apply(displaced) - T.apply(shifted)))
+    dev_psi = np.max(np.abs(T_tilde.apply(displaced) - T_tilde.apply(shifted)))
     return float(np.max([dev_phi, dev_psi]))
 
 

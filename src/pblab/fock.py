@@ -193,25 +193,27 @@ def pseudo_commutator_deviation(pair: PseudoPair) -> float:
 
 def ladder_deviation(pair: PseudoPair) -> float:
     """Max residual of a phi_0 = 0 and a phi_n = sqrt(n) phi_{n-1} on the
-    deformed family, 1 <= n < min(12, safe_dim)."""
-    a, phi = pair.a_op.apply, pair.vec_phi
-    steps = range(1, min(12, pair.a_op.safe_dim))
-    return _max_abs([a(phi(0)), *(a(phi(n)) - math.sqrt(n) * phi(n - 1) for n in steps)])
+    deformed family, 1 <= n < min(12, safe_dim), with a applied once to the
+    stacked columns phi_n."""
+    count = min(12, pair.a_op.safe_dim)
+    phi = np.stack([pair.vec_phi(n) for n in range(count)], axis=1)
+    expected = np.zeros_like(phi)
+    expected[:, 1:] = np.sqrt(np.arange(1, count)) * phi[:, :-1]
+    return _max_abs([pair.a_op.apply(phi) - expected])
 
 
 def cuntz_deviation(L_max: int) -> float:
     """Max deviation of S_m^dag S_n = delta_mn (identity on the n-th
     isometry's domain) for m <= n, and of sum_n S_n S_n^dag = I, from the
-    image arrays: (S_m^dag S_n)[i, j] is 1 where image i of S_m is image j
-    of S_n (0 off the domains), and sum_n S_n S_n^dag counts the images."""
-    images = [cuntz_images(n, L_max) for n in range(L_max + 1)]
-    total = np.bincount(np.concatenate(images), minlength=indexing.dim(L_max)) - 1
-    relations = (
-        (im_m[:, None] == im_n[None, :]) - (m == n) * np.eye(len(im_m), len(im_n))
-        for n, im_n in enumerate(images)
-        for m, im_m in enumerate(images[: n + 1])
-    )
-    return _max_abs(itertools.chain([total], relations))
+    image arrays.  sum_n S_n S_n^dag counts how often each flat index is an
+    image, and S_m^dag S_n has an entry 1 off delta_mn exactly where two
+    images collide, which makes that count at least 2; an image outside the
+    truncation drops out of S_n^dag S_n, so it reads 1."""
+    d = indexing.dim(L_max)
+    images = np.concatenate([cuntz_images(n, L_max) for n in range(L_max + 1)])
+    inside = (images >= 0) & (images < d)
+    counts = np.bincount(images[inside], minlength=d)
+    return _max_abs([counts - 1, ~inside])
 
 
 def metric_deviation(g: GL2Matrix, L_max: int) -> float:

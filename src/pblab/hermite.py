@@ -38,10 +38,6 @@ class PolyCoeffs:
         self.coeff = _trim(arr)
 
     @classmethod
-    def zero(cls) -> "PolyCoeffs":
-        return cls(np.zeros((1, 1)))
-
-    @classmethod
     def monomial(cls, j: int, k: int, c=1.0) -> "PolyCoeffs":
         """c * z^j * conj(z)^k."""
         if j < 0 or k < 0:
@@ -110,31 +106,47 @@ def hermite_coeffs(n1: int, n2: int) -> PolyCoeffs:
     return PolyCoeffs(grid * norm)
 
 
-def exp_contraction(p: PolyCoeffs) -> PolyCoeffs:
-    """Apply exp(-d/dz d/dconj z) exactly on the coefficient grid.
+def sector_stack(polys, L: int) -> np.ndarray:
+    """Grids of polynomials of degree <= L in z and in conj(z), zero-padded
+    to (L+1)x(L+1) and stacked: shape (len(polys), L+1, L+1)."""
+    out = np.zeros((len(polys), L + 1, L + 1), dtype=complex)
+    for grid, p in zip(out, polys):
+        rows, cols = p.coeff.shape
+        grid[:rows, :cols] = p.coeff
+    return out
+
+
+def hermite_sector(L: int) -> np.ndarray:
+    """The grids of h_{m, L-m} for m = 0..L, stacked by ``sector_stack``."""
+    return sector_stack([hermite_coeffs(m, L - m) for m in range(L + 1)], L)
+
+
+def exp_contraction(c: np.ndarray) -> np.ndarray:
+    """Apply exp(-d/dz d/dconj z) exactly to a coefficient grid, or to every
+    grid of a stack of shape (..., rows, cols); the result has c's shape.
 
     The operator is the terminating sum over t of (-1)^t/t! (d/dz d/dzbar)^t,
     which maps c[j+t, k+t] into c[j, k] with weight
-    (-1)^t/t! * (j+t)!/j! * (k+t)!/k!.
+    w_t[j, k] = (-1)^t/t! * (j+t)!/j! * (k+t)!/k!.  The weights are built as
+    w_t = w_{t-1} * (-(j+t)(k+t)/t) and the terms are added onto zero in
+    order of t, so stacking a grid or padding it with zeros changes none of
+    its entries.
     """
-    c = p.coeff
-    rows, cols = c.shape
+    c = np.asarray(c, dtype=complex)
+    rows, cols = c.shape[-2:]
+    j, k = np.arange(rows)[:, None], np.arange(cols)
     out = np.zeros_like(c)
-    for j in range(rows):
-        for k in range(cols):
-            acc = 0.0 + 0.0j
-            factor = 1.0
-            for t in range(min(rows - j, cols - k)):
-                if t > 0:
-                    factor *= -(j + t) * (k + t) / t
-                acc += factor * c[j + t, k + t]
-            out[j, k] = acc
-    return PolyCoeffs(out)
+    weight = np.ones((rows, cols))
+    for t in range(min(rows, cols)):
+        if t > 0:
+            weight = weight[:-1, :-1] * (-(j[: rows - t] + t) * (k[: cols - t] + t) / t)
+        out[..., : rows - t, : cols - t] += weight * c[..., t:, t:]
+    return out
 
 
 def hermite_via_contraction(n1: int, n2: int) -> PolyCoeffs:
     """h_{n1,n2} built by contracting the normalized monomial (cross-check route)."""
-    return exp_contraction(monomial_basis(n1, n2))
+    return PolyCoeffs(exp_contraction(monomial_basis(n1, n2).coeff))
 
 
 def inner(p: PolyCoeffs, q: PolyCoeffs) -> complex:

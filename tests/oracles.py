@@ -6,8 +6,10 @@ modulus sum that scales its rounding error), the q-sum of a diagonal
 element, the hypergeometric form of a Jacobi polynomial, the finite sum of
 a generalized Laguerre polynomial, the double-precision and 40-digit
 Laguerre closed forms of the displacement elements, the exact-rational
-contraction transform, the r = 1 closed forms of the diagonal, the dense products of the shift
-isometries, of the displacement composition, of the metric pair and of the
+and the entry-by-entry contraction transform, the scalar expansion of a
+deformed monomial, criterion 2 one mode at a time, the r = 1 closed forms
+of the diagonal, the dense products of the shift isometries, of the
+displacement composition and covariance, of the metric pair and of the
 two-mode, deformed and pseudo-bosonic commutators, and,
 from coefficient grids and exact moments, the
 biorthogonality Gram, the orthonormality Gram and the norm identity.
@@ -24,11 +26,11 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from pblab import indexing
-from pblab.deformed import deformed_coeffs, norm_sq, norm_sq_inner
-from pblab.displacement import canonical_displacement, wedge
+from pblab.deformed import deformed_coeffs, deformed_via_rep, norm_sq, norm_sq_inner
+from pblab.displacement import canonical_displacement, coherent_coefficients, wedge
 from pblab.fock import cuntz_domain_dim, cuntz_isometry, metric_operators
-from pblab.gl2 import GL2Matrix, dual
-from pblab.hermite import hermite_coeffs, inner
+from pblab.gl2 import GL2Matrix, dual, random_gl2, rep_full
+from pblab.hermite import hermite_coeffs, hermite_via_contraction, inner
 from pblab.special import binomial_real, log_binomial, log_factorial
 
 
@@ -191,6 +193,54 @@ def exp_contraction_exact(terms: dict[tuple[int, int], Fraction]) -> dict[tuple[
     return {key: c for key, c in out.items() if c != 0}
 
 
+def exp_contraction_loop(c: np.ndarray) -> np.ndarray:
+    """exp(-d/dz d/dconj z) on one coefficient grid, entry by entry: out[j, k]
+    sums factor_t c[j+t, k+t] over t, factor_t = factor_{t-1} (-(j+t)(k+t)/t)."""
+    rows, cols = c.shape
+    out = np.zeros_like(c, dtype=complex)
+    for j in range(rows):
+        for k in range(cols):
+            acc = 0.0 + 0.0j
+            factor = 1.0
+            for t in range(min(rows - j, cols - k)):
+                if t > 0:
+                    factor *= -(j + t) * (k + t) / t
+                acc += factor * c[j + t, k + t]
+            out[j, k] = acc
+    return out
+
+
+def expanded_monomial_loop(g: GL2Matrix, n1: int, n2: int) -> np.ndarray:
+    """The (n1+n2+1)-square grid of (g11 z + g21 zbar)^n1 (g12 z + g22 zbar)^n2
+    / sqrt(n1! n2!), one scalar product of binomial terms at a time."""
+    grid = np.zeros((n1 + n2 + 1, n1 + n2 + 1), dtype=complex)
+    first = [math.comb(n1, j) * g.g11**j * g.g21 ** (n1 - j) for j in range(n1 + 1)]
+    second = [math.comb(n2, l) * g.g12**l * g.g22 ** (n2 - l) for l in range(n2 + 1)]
+    for j, cj in enumerate(first):
+        for l, cl in enumerate(second):
+            grid[j + l, (n1 - j) + (n2 - l)] += cj * cl
+    return grid * math.exp(-0.5 * (math.lgamma(n1 + 1) + math.lgamma(n2 + 1)))
+
+
+def construction_equivalence_per_mode() -> float:
+    """Criterion 2 one mode at a time: the worst entrywise gap between
+    ``deformed_coeffs`` and ``deformed_via_rep`` and between
+    ``deformed_coeffs`` and the T^L-column sum of contracted monomials, over
+    the criterion's ten draws and every mode of degree <= 8."""
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    contracted = [[hermite_via_contraction(mp, L - mp) for mp in range(L + 1)] for L in range(9)]
+    for _ in range(10):
+        g = random_gl2(rng)
+        for L, (block, grids) in enumerate(zip(rep_full(g, 8).blocks, contracted)):
+            for n1 in range(L + 1):
+                a = deformed_coeffs(g, n1, L - n1)
+                b = deformed_via_rep(g, n1, L - n1)
+                c = sum((h.scaled(block[mp, n1]) for mp, h in enumerate(grids)), start=a.scaled(0.0))
+                worst = float(np.max([worst, np.max(np.abs((a - b).coeff)), np.max(np.abs((a - c).coeff))]))
+    return worst
+
+
 def stirling_r1_log(h11: float, h22: float, n1: int, n2: int) -> float:
     """ln of the r = 1 large-n behavior
     sqrt((n1+n2)/(2 pi n1 n2)) (n1+n2)^{n1+n2} n1^{-n1} n2^{-n2} h11^{n1} h22^{n2}."""
@@ -288,6 +338,19 @@ def compose_check_full(z1: complex, z2: complex, L_max: int, check_L: int) -> fl
     direct = np.exp(-1j * wedge(z1, z2)) * canonical_displacement(z1 + z2, d)
     k = indexing.dim(check_L)
     return float(np.max(np.abs(prod[:k, :k] - direct[:k, :k])))
+
+
+def covariance_check_full(z: complex, zp: complex, g: GL2Matrix, L_max: int, check_L: int) -> float:
+    """The projective covariance of both bi-coherent families on sectors
+    L <= check_L, read off the full d x d displacement and T(g) at L_max."""
+    d = indexing.dim(L_max)
+    displaced = canonical_displacement(z, d) @ coherent_coefficients(zp, d)
+    shifted = np.exp(-1j * wedge(z, zp)) * coherent_coefficients(z + zp, d)
+    k = indexing.dim(check_L)
+    return max(
+        float(np.max(np.abs((T.apply(displaced) - T.apply(shifted))[:k])))
+        for T in (rep_full(g, L_max), rep_full(dual(g), L_max))
+    )
 
 
 def metric_deviation_dense(g: GL2Matrix, L_max: int) -> float:

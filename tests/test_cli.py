@@ -294,6 +294,17 @@ class TestSuiteOutput:
         assert [row["pass"] for row in payload["results"]] == [True, False]
         assert captured.err.splitlines() == [res.line() for res in stubs]
 
+    def test_json_rows_carry_details_and_csv_rows_do_not(self, capsys, monkeypatch):
+        monkeypatch.setattr(acceptance, "run_all", lambda: [acceptance.run_criterion(11)])
+        code, out = run_cli(capsys, "suite")
+        (row,) = json.loads(out)["results"]
+        assert code == 0
+        details = row["details"]
+        assert details["predicted_bias"] == pytest.approx(0.0139, abs=1e-4)
+        assert details["regularizer"] == 1e-3
+        code, out = run_cli(capsys, "suite", "--format", "csv")
+        assert out.splitlines()[0] == "check,criterion,deviation,tolerance,pass,runtime_s"
+
 
 def _nan_on_call(monkeypatch, module, name, nth):
     """Make the nth call of module.name return its result times NaN."""

@@ -3,11 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from oracles import DeformedFamily, biorth_gram_moments, norm_identity_deviation_moments
-from pblab import deformed, indexing
+from oracles import (
+    DeformedFamily,
+    biorth_gram_moments,
+    construction_equivalence_per_mode,
+    exp_contraction_loop,
+    expanded_monomial_loop,
+    norm_identity_deviation_moments,
+)
+from pblab import acceptance, deformed, indexing
 from pblab.deformed import (
     biorth_gram,
+    combine_sector,
     deformed_coeffs,
+    deformed_sector,
     deformed_via_rep,
     dual_coeffs,
     dual_norm_sq,
@@ -19,8 +28,8 @@ from pblab.deformed import (
     norm_sq_inner,
     riesz_growth,
 )
-from pblab.gl2 import GL2Matrix, dual, random_gl2
-from pblab.hermite import PolyCoeffs, hermite_coeffs
+from pblab.gl2 import GL2Matrix, dual, random_gl2, rep_full
+from pblab.hermite import PolyCoeffs, hermite_coeffs, hermite_sector
 from pblab.quadrature import tensor_hermite_scheme
 
 SHEAR = GL2Matrix(1, 1, 0, 1)
@@ -76,6 +85,45 @@ class TestDeformedCoeffs:
         }
         assert max(degs) == 3
         assert all((3 - d) % 2 == 0 for d in degs)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(float)
+
+
+class TestSectorStacks:
+    # the stacked routes must reproduce the per-mode ones bit for bit, so
+    # that criterion 2 reads the same deviation as its mode-by-mode loop
+    DEFORMATIONS = _gram_matrices()
+
+    @pytest.mark.parametrize("g", DEFORMATIONS, ids=range(5))
+    def test_expanded_monomials_match_scalar_products(self, g):
+        for L in (0, 3, 8, 12):
+            stack = deformed._expanded_monomials(g, L, range(L + 1))
+            for n1, grid in enumerate(stack):
+                assert np.array_equal(_bits(grid), _bits(expanded_monomial_loop(g, n1, L - n1)))
+
+    @pytest.mark.parametrize("g", DEFORMATIONS, ids=range(5))
+    def test_contraction_of_deformed_monomials_matches_loop(self, g):
+        for L in (1, 5, 9):
+            contracted = deformed_sector(g, L, range(L + 1))
+            for n1, got in enumerate(contracted):
+                ref = exp_contraction_loop(expanded_monomial_loop(g, n1, L - n1))
+                assert np.array_equal(_bits(got), _bits(ref))
+
+    @pytest.mark.parametrize("g", DEFORMATIONS, ids=range(5))
+    def test_stacked_routes_match_per_mode_routes(self, g):
+        for L in range(9):
+            direct = deformed_sector(g, L, range(L + 1))
+            via_rep = combine_sector(rep_full(g, 8).blocks[L], hermite_sector(L))
+            for n1 in range(L + 1):
+                a, b = deformed_coeffs(g, n1, L - n1).coeff, deformed_via_rep(g, n1, L - n1).coeff
+                assert np.array_equal(_bits(direct[n1][: a.shape[0], : a.shape[1]]), _bits(a))
+                assert np.array_equal(_bits(via_rep[n1][: b.shape[0], : b.shape[1]]), _bits(b))
+
+    def test_criterion_2_matches_the_per_mode_loop(self):
+        stacked = acceptance.criterion_02_construction_equivalence().deviation
+        assert stacked == construction_equivalence_per_mode() == 4.547473508864641e-12
 
 
 class TestDualCoeffs:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pblab import indexing
+from pblab import displacement, indexing
 from pblab.displacement import (
     bicoherent,
     bicoherent_norm_envelope,
@@ -27,7 +27,7 @@ from pblab.fock import pseudo_pair
 from pblab.gl2 import GL2Matrix, dual, random_gl2, rep_full
 from pblab.quadrature import polar_scheme
 
-from oracles import compose_check_full, displacement_closed_form, displacement_mpmath, laguerre
+from oracles import compose_check_full, covariance_check_full, displacement_closed_form, displacement_mpmath, laguerre
 
 SHEAR = GL2Matrix(1, 1, 0, 1)
 
@@ -158,6 +158,31 @@ class TestLaguerreRoute:
             assert np.array_equal(table[i], displacement_radial(ti, 20))
         assert np.array_equal(table[0], np.eye(20))
 
+    def test_radial_strip_over_an_array_of_t(self):
+        t = np.array([0.0, 0.3, 2.5, 40.0])
+        strip = displacement_radial(t, 20, 7)
+        assert strip.shape == (4, 20, 7)
+        assert np.array_equal(strip, displacement_radial(t, 20)[..., :7])
+
+    # at |z| = 40 the recurrence rescales from column 120 on, so k = 200 and
+    # k = dim cross the rescale and k = 1, 66 stop before it
+    @pytest.mark.parametrize("dim", [496, 1081])
+    @pytest.mark.parametrize("z", [0.7 + 0.2j, 3 - 2j, 40.0, 24 - 32j])
+    def test_strip_is_the_full_matrix_bit_for_bit(self, dim, z):
+        full = canonical_displacement(z, dim)
+        for k in (1, 66, 200, dim):
+            strip = canonical_displacement(z, dim, k)
+            assert strip.shape == (dim, k)
+            assert np.array_equal(strip.view(float), full[:, :k].view(float)), k
+            rows = displacement._displacement_rows(z, dim, k)
+            assert rows.flags.c_contiguous
+            assert np.array_equal(rows.view(float), full[:k].view(float)), k
+
+    def test_strip_width_outside_the_matrix_rejected(self):
+        for cols in (0, 21):
+            with pytest.raises(ValueError):
+                displacement_radial(1.0, 20, cols)
+
     def test_laws_at_L45(self):
         # the closed form returned NaN here
         z1, z2 = 3 - 2j, 0.5j
@@ -268,6 +293,15 @@ class TestCovariance:
 
     def test_identity_deformation(self):
         assert covariance_check(0.5, 0.5j, GL2Matrix.identity(), 30, check_L=10) <= 1e-6
+
+    @pytest.mark.parametrize("L_max", [4, 12, 20, 30])
+    def test_matches_full_matrices(self, L_max):
+        # the library applies the first rows of D(z) and T at check_L only
+        g = GL2Matrix(1.2, 0.3 + 0.1j, 0.2, 0.9)
+        for z, zp in [(1.0, 1j), (0.7 + 0.2j, 0.0), (3 - 2j, 0.5j), (0.8 + 0.1j, -0.8 - 0.1j)]:
+            for check_L in (0, L_max // 2, L_max - 1):
+                dev = covariance_check(z, zp, g, L_max, check_L=check_L)
+                assert abs(dev - covariance_check_full(z, zp, g, L_max, check_L)) <= 1e-15
 
 
 class TestResolution:

@@ -12,6 +12,7 @@ from pblab.fock import (
     cuntz_isometry,
     deformed_two_mode,
     ladder,
+    ladder_deviation,
     metric_operators,
     pseudo_pair,
     safe_part,
@@ -199,6 +200,15 @@ class TestPseudoPair:
             resid = N.mat @ shear_pair.vec_phi(n) - n * shear_pair.vec_phi(n)
             assert np.max(np.abs(resid)) <= 1e-8
 
+    @pytest.mark.parametrize("L_max", [1, 2, 12, 20])
+    def test_ladder_deviation_matches_vector_by_vector_products(self, L_max):
+        pair = pseudo_pair(GL2Matrix(1.2, 0.3 + 0.1j, 0.2, 0.9), L_max)
+        count = min(12, pair.a_op.safe_dim)
+        a, phi = pair.a_op.mat, pair.vec_phi
+        residuals = [a @ phi(0)] + [a @ phi(n) - math.sqrt(n) * phi(n - 1) for n in range(1, count)]
+        ref = max(float(np.max(np.abs(r))) for r in residuals)
+        assert abs(ladder_deviation(pair) - ref) <= 1e-15
+
     def test_ill_conditioned_rejected(self):
         with pytest.raises(ValueError):
             pseudo_pair(GL2Matrix(1e5, 0, 0, 1e-5), 4)
@@ -367,6 +377,18 @@ class TestCuntz:
         monkeypatch.setattr(fock, "cuntz_images", lambda n, L: real(0 if n == 1 else n, L)[: L - n + 1])
         for L_max in (2, 5, 8):
             assert cuntz_deviation(L_max) == cuntz_deviation_dense(L_max) == 1.0
+
+    @pytest.mark.parametrize("outside", [-1, "dim"])
+    def test_image_outside_the_truncation_reads_one(self, monkeypatch, outside):
+        # the top isometry's only image moves below or past the flat range
+        real = fock.cuntz_images
+
+        def moved(n, L):
+            return np.array([-1 if outside == -1 else indexing.dim(L)]) if n == L else real(n, L)
+
+        monkeypatch.setattr(fock, "cuntz_images", moved)
+        for L_max in (0, 3, 8):
+            assert cuntz_deviation(L_max) == 1.0
 
     def test_deviation_at_L45(self):
         assert cuntz_deviation(45) == 0.0

@@ -12,14 +12,16 @@ from pblab.hermite import (
     PolyCoeffs,
     exp_contraction,
     hermite_coeffs,
+    hermite_sector,
     hermite_terms_exact,
     hermite_via_contraction,
     inner,
     inner_exact,
     monomial_basis,
+    sector_stack,
 )
 
-from oracles import exp_contraction_exact, hermite_gram_moments
+from oracles import exp_contraction_exact, exp_contraction_loop, hermite_gram_moments
 
 
 def modes_up_to_degree(max_L):
@@ -57,11 +59,29 @@ class TestHermiteCoeffs:
 class TestExpContraction:
     def test_constant_fixed(self):
         one = PolyCoeffs([[1.0]])
-        assert exp_contraction(one).allclose(one)
+        assert PolyCoeffs(exp_contraction(one.coeff)).allclose(one)
 
     def test_single_contraction_term(self):
-        out = exp_contraction(PolyCoeffs.monomial(1, 1))
+        out = PolyCoeffs(exp_contraction(PolyCoeffs.monomial(1, 1).coeff))
         assert out.allclose(PolyCoeffs([[-1, 0], [0, 1]]))
+
+    def test_stack_matches_entry_loop_bit_for_bit(self):
+        # every monomial with n1, n2 <= 12, zero-padded to 13 x 13 and
+        # contracted as one stack, against the loop on its own grid
+        modes = list(itertools.product(range(13), repeat=2))
+        stack = exp_contraction(sector_stack([monomial_basis(*m) for m in modes], 12))
+        for (n1, n2), got in zip(modes, stack):
+            ref = exp_contraction_loop(monomial_basis(n1, n2).coeff)
+            assert np.array_equal(got[: n1 + 1, : n2 + 1].view(float), ref.view(float)), (n1, n2)
+            got[: n1 + 1, : n2 + 1] = 0
+            assert not got.any()
+
+    def test_sector_stack_pads_with_zeros(self):
+        stack = hermite_sector(3)
+        assert stack.shape == (4, 4, 4)
+        for m, grid in enumerate(stack):
+            assert PolyCoeffs(grid).coeff.shape == (m + 1, 4 - m)
+            assert np.array_equal(PolyCoeffs(grid).coeff, hermite_coeffs(m, 3 - m).coeff)
 
     def test_monomial_route_matches_explicit_sum(self):
         for n1, n2 in modes_up_to_degree(10):
