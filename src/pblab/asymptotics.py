@@ -28,7 +28,7 @@ All values are produced in the log domain; at the validation sizes
 import math
 from dataclasses import dataclass
 
-from .gl2 import GL2Matrix, _positive_parts, rep_diag_log
+from .gl2 import GL2Matrix, positive_invariants, rep_diag_log
 
 
 def asympt_fixed_d(h: GL2Matrix, n1: int, d: int) -> float:
@@ -37,7 +37,7 @@ def asympt_fixed_d(h: GL2Matrix, n1: int, d: int) -> float:
         raise ValueError(f"need n1 >= 1, got {n1}")
     if d < 0:
         raise ValueError(f"need d >= 0, got {d} (exchange the modes instead)")
-    h11, h22, r = _positive_parts(h)
+    h11, h22, r = positive_invariants(h)
     if not 0 < r < 1:
         raise ValueError(f"estimate prefactor is singular outside 0 < r < 1, got r = {r}")
     n2 = n1 + d
@@ -102,7 +102,7 @@ def asympt_laplace(h: GL2Matrix, n1: int, nu: float) -> float:
     """Logarithm of the fixed-ratio estimate at (n1, n2 = round(nu n1))."""
     if n1 < 1:
         raise ValueError(f"need n1 >= 1, got {n1}")
-    h11, h22, r = _positive_parts(h)
+    h11, h22, r = positive_invariants(h)
     data = laplace_root(r, nu)
     xi = data.xi_plus
     n2 = round(nu * n1)
@@ -125,7 +125,7 @@ def ratio_row(h: GL2Matrix, n1: int, *, d: int | None = None, nu: float | None =
     """
     if (d is None) == (nu is None):
         raise ValueError("specify exactly one of d or nu")
-    h11, h22, r = _positive_parts(h)
+    h11, h22, r = positive_invariants(h)
     if d is not None:
         n2 = n1 + d
         log_est = asympt_fixed_d(h, n1, d)
@@ -134,7 +134,7 @@ def ratio_row(h: GL2Matrix, n1: int, *, d: int | None = None, nu: float | None =
         n2 = round(nu * n1)
         log_est = asympt_laplace(h, n1, nu)
         nu_or_d = float(nu)
-    log_exact = rep_diag_log(h, n1, n2)
+    log_exact = float(rep_diag_log(h, n1, n2))
     return {
         "n1": n1,
         "n2": n2,

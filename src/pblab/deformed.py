@@ -21,12 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import indexing
 from .gl2 import GL2Matrix, dual, rep_block, rep_diag, rep_diag_log
 from .hermite import PolyCoeffs, exp_contraction, hermite_sector, inner
 from .quadrature import tensor_hermite_scheme
-from .special import log_binomial
 
 
 def _expanded_monomials(g: GL2Matrix, L: int, n1s) -> np.ndarray:
@@ -142,14 +142,12 @@ def biorth_gram(g: GL2Matrix, L_max: int):
 
 def norm_sq(g: GL2Matrix, n1: int, n2: int) -> float:
     """Exact squared norm of h^g_{n1,n2}: the T-diagonal of (dagger g) g."""
-    val = rep_diag(g.gram(), n1, n2, require_positive=True)
-    return float(val.real)
+    return rep_diag(g.gram(), n1, n2).real
 
 
 def dual_norm_sq(g: GL2Matrix, n1: int, n2: int) -> float:
     """Squared norm of the dual polynomial: T-diagonal of ((dagger g) g)^(-1)."""
-    val = rep_diag(g.gram().inv(), n1, n2, require_positive=True)
-    return float(val.real)
+    return rep_diag(g.gram().inv(), n1, n2).real
 
 
 def norm_sq_inner(g: GL2Matrix, n1: int, n2: int) -> float:
@@ -173,32 +171,25 @@ def norm_identity_deviation(g: GL2Matrix, L_values) -> float:
 
 @dataclass(frozen=True)
 class NormBounds:
-    """Log-domain values of the norm-squared bound sandwich at one index."""
+    """Log-domain values of the norm-squared bound sandwich, one per index."""
 
-    log_lower: float
-    log_upper: float
-    log_lower_dual: float
-    log_upper_dual: float
-
-    @property
-    def lower(self) -> float:
-        return math.exp(self.log_lower)
+    log_lower: np.ndarray
+    log_upper: np.ndarray
+    log_lower_dual: np.ndarray
+    log_upper_dual: np.ndarray
 
     @property
-    def upper(self) -> float:
-        return math.exp(self.log_upper)
+    def lower(self) -> np.ndarray:
+        return np.exp(self.log_lower)
 
     @property
-    def lower_dual(self) -> float:
-        return math.exp(self.log_lower_dual)
-
-    @property
-    def upper_dual(self) -> float:
-        return math.exp(self.log_upper_dual)
+    def upper(self) -> np.ndarray:
+        return np.exp(self.log_upper)
 
 
-def norm_bounds(g: GL2Matrix, n1: int, n2: int) -> NormBounds:
-    """Bound sandwich with a = (g^dag g)_11, d = (g^dag g)_22:
+def norm_bounds(g: GL2Matrix, n1, n2) -> NormBounds:
+    """Bound sandwich at the index arrays n1, n2 (broadcast together), with
+    a = (g^dag g)_11, d = (g^dag g)_22:
 
         a^{n1} d^{n2} / sqrt(pi min(n1,n2)) <= |h^g|^2 <= C(L,n1) a^{n1} d^{n2},
 
@@ -207,37 +198,34 @@ def norm_bounds(g: GL2Matrix, n1: int, n2: int) -> NormBounds:
     rejected since the 1/sqrt factor degenerates there (the exact value is
     then just the leading product).
     """
-    if min(n1, n2) < 1:
+    n1, n2 = np.broadcast_arrays(n1, n2)
+    low = np.minimum(n1, n2)
+    if np.any(low < 1):
         raise ValueError("bound sandwich needs min(n1, n2) >= 1")
     gram = g.gram()
-    a = gram.g11.real
-    d = gram.g22.real
+    log_a, log_d = math.log(gram.g11.real), math.log(gram.g22.real)
     log_det = math.log(gram.det.real)  # |det g|^2 = det(g^dag g)
-    L = n1 + n2
-    half_log_min = 0.5 * math.log(math.pi * min(n1, n2))
-    base = n1 * math.log(a) + n2 * math.log(d)
-    base_dual = n1 * math.log(d) + n2 * math.log(a) - L * log_det
-    lb = log_binomial(L, n1)
-    return NormBounds(
-        log_lower=base - half_log_min,
-        log_upper=base + lb,
-        log_lower_dual=base_dual - half_log_min,
-        log_upper_dual=base_dual + lb,
-    )
+    half_log_min = 0.5 * np.log(math.pi * low)
+    base = n1 * log_a + n2 * log_d
+    base_dual = n1 * log_d + n2 * log_a - (n1 + n2) * log_det
+    lb = gammaln(n1 + n2 + 1) - gammaln(n1 + 1) - gammaln(n2 + 1)
+    return NormBounds(base - half_log_min, base + lb, base_dual - half_log_min, base_dual + lb)
 
 
 # roundoff allowance of the log-domain sums when a sandwich is tested
 NORM_BOUND_LOG_SLACK = 1e-10
 
 
-def norm_bound_violation(g: GL2Matrix, n1: int, n2: int) -> float:
+def norm_bound_violation(g: GL2Matrix, n1, n2) -> np.ndarray:
     """Worst log-domain violation (lower - value or value - upper) of the
-    bound sandwich at (n1, n2) over the deformed and the dual family; both
-    hold when it is <= NORM_BOUND_LOG_SLACK, and a NaN term gives NaN."""
+    bound sandwich over the deformed and the dual family, at each of the
+    index arrays n1, n2; both hold where it is <= NORM_BOUND_LOG_SLACK, and
+    a NaN term gives NaN."""
     nb = norm_bounds(g, n1, n2)
-    val, dval = rep_diag_log(g.gram(), n1, n2), rep_diag_log(g.gram().inv(), n1, n2)
+    gram = g.gram()
+    val, dval = rep_diag_log(gram, n1, n2), rep_diag_log(gram.inv(), n1, n2)
     terms = [nb.log_lower - val, val - nb.log_upper, nb.log_lower_dual - dval, dval - nb.log_upper_dual]
-    return float(np.max(terms))
+    return np.max(terms, axis=0)
 
 
 def riesz_growth(g: GL2Matrix, L_list) -> list[dict]:
@@ -249,16 +237,16 @@ def riesz_growth(g: GL2Matrix, L_list) -> list[dict]:
     identically 1; otherwise it grows like (a d / |det g|^2)^L > 1.
     """
     gram = g.gram()
-    gram_inv = gram.inv()
     a, d = gram.g11.real, gram.g22.real
     log_det = math.log(gram.det.real)
+    Ls = np.asarray(L_list, dtype=int)
+    norms = rep_diag_log(gram, Ls // 2, Ls - Ls // 2).tolist()
+    dual_norms = rep_diag_log(gram.inv(), Ls // 2, Ls - Ls // 2).tolist()
     rows = []
     prev = None
-    for L in L_list:
+    for L, log_ns, log_dns in zip(L_list, norms, dual_norms):
         n1 = L // 2
         n2 = L - n1
-        log_ns = rep_diag_log(gram, n1, n2)
-        log_dns = rep_diag_log(gram_inv, n1, n2)
         log_product = log_ns + log_dns
         log_lower = L * (math.log(a) + math.log(d) - log_det) - math.log(
             math.pi * max(1, min(n1, n2))

@@ -20,8 +20,9 @@ Jacobi-polynomial closed form,
                            P_{n1}^{(0, n2-n1)}(1 + 2 h12 h21 / det h),
 
 kept as an independent cross-check, plus a log-domain evaluation for positive
-Hermitian h that stays finite far beyond double-precision range (every term
-of the q-sum is then non-negative, so log-sum-exp is stable).
+Hermitian h over whole index arrays that stays finite far beyond
+double-precision range (every term of its symmetric expansion is then
+non-negative, so log-sum-exp is stable).
 """
 
 import math
@@ -29,9 +30,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.special import gammaln, logsumexp, xlogy
 
 from . import indexing
-from .special import jacobi_sum, log_binomial, log_sum_exp
+from .special import jacobi_sum
 
 
 @dataclass(frozen=True)
@@ -192,18 +194,15 @@ def star_deviation(g: GL2Matrix, L: int) -> float:
     return float(np.max(np.abs(rep_block(g.dagger(), L) - tg.conj().T))) / scale
 
 
-def rep_diag(h: GL2Matrix, n1: int, n2: int, require_positive: bool = False) -> complex:
+def rep_diag(h: GL2Matrix, n1: int, n2: int) -> complex:
     """Diagonal element at (n1, n2) via the Jacobi-polynomial closed form.
 
     For n1 > n2 the 1 <-> 2 exchange symmetry of the diagonal is used so the
     Jacobi superscript stays non-negative.  Agrees with rep_block's diagonal
-    entry for every invertible h; with ``require_positive`` the input must be
-    positive Hermitian (the norm-identity use case).
+    entry for every invertible h.
     """
     if n1 < 0 or n2 < 0:
         raise ValueError(f"indices must be non-negative, got ({n1}, {n2})")
-    if require_positive and not h.is_positive_hermitian():
-        raise ValueError("positive Hermitian input required")
     if n1 > n2:
         h = GL2Matrix(h.g22, h.g21, h.g12, h.g11)
         n1, n2 = n2, n1
@@ -212,42 +211,37 @@ def rep_diag(h: GL2Matrix, n1: int, n2: int, require_positive: bool = False) -> 
     return complex(val)
 
 
-def _positive_parts(h: GL2Matrix):
+def positive_invariants(h: GL2Matrix) -> tuple[float, float, float]:
+    """(h11, h22, r = |h12|^2 / (h11 h22)) of a positive Hermitian h: all
+    that its diagonal elements depend on."""
     if not h.is_positive_hermitian():
         raise ValueError("positive Hermitian input required for log-domain evaluation")
-    h11 = h.g11.real
-    h22 = h.g22.real
-    r = abs(h.g12) ** 2 / (h11 * h22)
-    return h11, h22, r
+    h11, h22 = h.g11.real, h.g22.real
+    return h11, h22, abs(h.g12) ** 2 / (h11 * h22)
 
 
-def diag_log_from_parts(h11: float, h22: float, r: float, n1: int, n2: int) -> float:
-    """ln of the diagonal element given the invariants (h11, h22, r) directly.
+def _log_comb(n, k):
+    """ln C(n, k) elementwise; -inf where k > n."""
+    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+
+def rep_diag_log(h: GL2Matrix, n1, n2):
+    """ln of the diagonal element for positive Hermitian h at the index
+    arrays n1, n2 (broadcast together), any size of them.
 
     Uses the symmetric expansion
         h11^{n1} h22^{n2} sum_m C(n1, m) C(n2, m) r^m,  r = |h12|^2/(h11 h22),
-    whose terms are all non-negative, via log-sum-exp.  Accepts any r >= 0
-    including the degenerate r = 1, where the sum collapses to C(n1+n2, n1).
+    whose terms are all non-negative, summed in the log domain; at r = 0
+    (diagonal h) only the m = 0 term is left.
     """
-    if n1 < 0 or n2 < 0:
-        raise ValueError(f"indices must be non-negative, got ({n1}, {n2})")
-    if h11 <= 0 or h22 <= 0 or r < 0:
-        raise ValueError("need h11, h22 > 0 and r >= 0")
-    base = n1 * math.log(h11) + n2 * math.log(h22)
-    if r == 0:
-        return base
-    log_r = math.log(r)
-    terms = [
-        log_binomial(n1, m) + log_binomial(n2, m) + m * log_r
-        for m in range(min(n1, n2) + 1)
-    ]
-    return base + log_sum_exp(terms)
-
-
-def rep_diag_log(h: GL2Matrix, n1: int, n2: int) -> float:
-    """ln of the diagonal element for positive Hermitian h, any size of (n1, n2)."""
-    h11, h22, r = _positive_parts(h)
-    return diag_log_from_parts(h11, h22, r, n1, n2)
+    h11, h22, r = positive_invariants(h)
+    n1, n2 = np.broadcast_arrays(n1, n2)
+    if np.any(n1 < 0) or np.any(n2 < 0):
+        raise ValueError("indices must be non-negative")
+    # m runs to the largest min(n1, n2); a binomial is -inf past its own
+    m = np.arange(np.max(np.minimum(n1, n2), initial=0) + 1)
+    terms = _log_comb(n1[..., None], m) + _log_comb(n2[..., None], m) + xlogy(m, r)
+    return xlogy(n1, h11) + xlogy(n2, h22) + logsumexp(terms, axis=-1)
 
 
 def _sector_slice(L: int) -> slice:

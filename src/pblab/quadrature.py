@@ -7,8 +7,8 @@ Two measures appear throughout the package:
 
 A scheme is nodes plus positive weights for the measure its constructor
 names, and ``integrate`` is their weighted sum.  Polynomial integrals
-against dnu are exact: through moments (``gaussian_moment``), or through
-``tensor_hermite_scheme`` when the degree is within its order.
+against dnu are exact: through moments (``exact_gaussian_moment``), or
+through ``tensor_hermite_scheme`` when the degree is within its order.
 ``polar_scheme`` carries non-polynomial integrands against d^2z/pi, such as
 weight functions and displacement kernels.  Schemes are immutable and node
 evaluation order is fixed, so results are bit-reproducible.
@@ -30,14 +30,6 @@ def exact_gaussian_moment(a: int, b: int) -> int:
     if a < 0 or b < 0:
         raise ValueError(f"moment exponents must be non-negative, got ({a}, {b})")
     return math.factorial(a) if a == b else 0
-
-
-def gaussian_moment(a: int, b: int) -> float:
-    """Float version of ``exact_gaussian_moment``; inf where a! overflows a double."""
-    if a != b:
-        exact_gaussian_moment(a, b)  # argument validation
-        return 0.0
-    return float(FACTORIALS[min(a, 171)])
 
 
 @dataclass(frozen=True)

@@ -136,11 +136,15 @@ def oracle_deviation(pair: PseudoPair, kind: str, lam: float, w: WeightSpec) -> 
     """Max deviation of the lam-regularized oracle for kind "z" ("zbar") from
     the unregularized pair.a_op (pair.b_op) on sectors <= 4, relative to
     the block maximum of the latter."""
-    target = (pair.a_op if kind == "z" else pair.b_op).mat
-    k = indexing.dim(min(4, pair.L_max))
-    orc = quantize_regularized_oracle(kind, lam, w, pair.g, pair.L_max)
-    scale = float(np.max(np.abs(target[:k, :k])))
-    return float(np.max(np.abs((orc - target)[:k, :k]))) / scale
+    check_L = min(4, pair.L_max)
+    k = indexing.dim(check_L)
+    op = pair.a_op if kind == "z" else pair.b_op
+    target = SectorOperator(check_L, {key: b for key, b in op.parts.items() if max(key) <= check_L}).mat
+    # block-diagonal conjugation of exact elements: sectors <= check_L of
+    # the oracle need only those sectors
+    orc = quantize_regularized_oracle(kind, lam, w, pair.g, check_L)
+    scale = float(np.max(np.abs(target)))
+    return float(np.max(np.abs(orc - target))) / scale
 
 
 def mollified_lowering_diagonal(lam: float, dim: int) -> np.ndarray:

@@ -3,17 +3,18 @@
 Each oracle computes a quantity the library also computes, by a different
 route: the entrywise or 50-digit q-sum of a representation block (and the
 modulus sum that scales its rounding error), the q-sum of a diagonal
-element, the hypergeometric form of a Jacobi polynomial, the finite sum of
-a generalized Laguerre polynomial, the double-precision and 40-digit
-Laguerre closed forms of the displacement elements, the exact-rational
-and the entry-by-entry contraction transform, the scalar expansion of a
-deformed monomial, criterion 2 one mode at a time, the r = 1 closed forms
-of the diagonal, the dense products of the shift isometries, of the
-displacement composition and covariance, of the metric pair and of the
-two-mode, deformed and pseudo-bosonic commutators, and,
-from coefficient grids and exact moments, the
-biorthogonality Gram, the orthonormality Gram and the norm identity.
-Nothing in the library calls them.
+element and the 40-digit log of a positive one, the hypergeometric form of
+a Jacobi polynomial, the finite sum of a generalized Laguerre polynomial,
+the double-precision and 40-digit Laguerre closed forms of the
+displacement elements, the exact-rational and the entry-by-entry
+contraction transform, the scalar expansion of a deformed monomial,
+criterion 2 one mode at a time, the r = 1 closed forms of the diagonal,
+the float Gaussian moments, the dense products of the shift isometries,
+of the displacement composition and covariance, of the metric pair and of
+the two-mode, deformed and pseudo-bosonic commutators, the resolution of
+the identity on the whole truncation, and, from coefficient grids and
+exact moments, the biorthogonality Gram, the orthonormality Gram and the
+norm identity.  Nothing in the library calls them.
 """
 
 import math
@@ -31,7 +32,8 @@ from pblab.displacement import canonical_displacement, coherent_coefficients, we
 from pblab.fock import cuntz_domain_dim, cuntz_isometry, metric_operators
 from pblab.gl2 import GL2Matrix, dual, random_gl2, rep_full
 from pblab.hermite import hermite_coeffs, hermite_via_contraction, inner
-from pblab.special import binomial_real, log_binomial, log_factorial
+from pblab.quadrature import FACTORIALS, PlaneScheme, exact_gaussian_moment, polar_scheme
+from pblab.special import binomial_real
 
 
 def rep_block_loop(g, L):
@@ -100,6 +102,17 @@ def rep_diag_qsum(h: GL2Matrix, n1: int, n2: int) -> complex:
     return complex(acc)
 
 
+def rep_diag_log_mpmath(h: GL2Matrix, n1: int, n2: int, dps: int = 40) -> float:
+    """ln of the diagonal element of a positive Hermitian h at (n1, n2) by
+    the symmetric expansion h11^n1 h22^n2 sum_m C(n1, m) C(n2, m) r^m in
+    dps-digit arithmetic, r = |h12|^2 / (h11 h22) read off the double entries."""
+    with mpmath.workdps(dps):
+        h11, h22 = mpmath.mpf(h.g11.real), mpmath.mpf(h.g22.real)
+        r = abs(mpmath.mpc(h.g12)) ** 2 / (h11 * h22)
+        total = mpmath.fsum(mpmath.binomial(n1, m) * mpmath.binomial(n2, m) * r**m for m in range(min(n1, n2) + 1))
+        return float(n1 * mpmath.log(h11) + n2 * mpmath.log(h22) + mpmath.log(total))
+
+
 def hyp2f1_terminating(n: int, b: float, c: float, x: float):
     """Terminating Gauss series 2F1(-n, b; c; x) = sum_{k<=n} ((-n)_k (b)_k / (c)_k) x^k / k!.
 
@@ -143,11 +156,11 @@ def laguerre(n: int, mu: int, x):
     if n + mu < 0:
         raise ValueError(f"need n + mu >= 0, got n = {n}, mu = {mu}")
     total = x * 0
-    log_top = log_factorial(n + mu)
+    log_top = math.lgamma(n + mu + 1)
     for k in range(n + 1):
         if mu + k < 0:
             continue  # 1/Gamma at a pole
-        coeff = math.exp(log_top - log_factorial(mu + k) - log_factorial(n - k) - log_factorial(k))
+        coeff = math.exp(log_top - math.lgamma(mu + k + 1) - math.lgamma(n - k + 1) - math.lgamma(k + 1))
         total += (-1) ** k * coeff * x**k
     return total
 
@@ -259,7 +272,7 @@ def stirling_r1_log(h11: float, h22: float, n1: int, n2: int) -> float:
 
 def binomial_diag_log(h11: float, h22: float, n1: int, n2: int) -> float:
     """ln of the exact r = 1 diagonal h11^{n1} h22^{n2} C(n1+n2, n1)."""
-    return n1 * math.log(h11) + n2 * math.log(h22) + log_binomial(n1 + n2, n1)
+    return n1 * math.log(h11) + n2 * math.log(h22) + math.log(math.comb(n1 + n2, n1))
 
 
 @dataclass(frozen=True)
@@ -351,6 +364,27 @@ def covariance_check_full(z: complex, zp: complex, g: GL2Matrix, L_max: int, che
         float(np.max(np.abs((T.apply(displaced) - T.apply(shifted))[:k])))
         for T in (rep_full(g, L_max), rep_full(dual(g), L_max))
     )
+
+
+def resolution_check_full(g: GL2Matrix, L_max: int, scheme: PlaneScheme | None = None) -> float:
+    """The resolution of the identity on sectors L <= L_max/2, read off the
+    whole truncation: T(g) and T(g)^{-1} at L_max and the d x d moments."""
+    if scheme is None:
+        scheme = polar_scheme(64, 64)
+    d = indexing.dim(L_max)
+    V = coherent_coefficients(scheme.nodes, d)
+    moments = (V * scheme.weights[None, :]) @ V.conj().T
+    result = rep_full(g, L_max).apply(rep_full(g.inv(), L_max).apply_right(moments))
+    k = indexing.dim(L_max // 2)
+    return float(np.max(np.abs(result[:k, :k] - np.eye(k))))
+
+
+def gaussian_moment(a: int, b: int) -> float:
+    """Float version of ``exact_gaussian_moment``; inf where a! overflows a double."""
+    if a != b:
+        exact_gaussian_moment(a, b)  # argument validation
+        return 0.0
+    return float(FACTORIALS[min(a, 171)])
 
 
 def metric_deviation_dense(g: GL2Matrix, L_max: int) -> float:

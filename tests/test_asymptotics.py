@@ -10,7 +10,7 @@ from pblab.asymptotics import (
     laplace_root,
     ratio_row,
 )
-from pblab.gl2 import GL2Matrix, diag_log_from_parts, rep_diag_log
+from pblab.gl2 import GL2Matrix, rep_diag_log
 
 from oracles import binomial_diag_log, stirling_r1_log
 
@@ -112,12 +112,6 @@ class TestLaplaceEstimate:
 
 
 class TestDegenerateAndStirling:
-    def test_r1_diag_is_binomial(self):
-        # at r = 1 the symmetric sum collapses by Vandermonde convolution
-        for n1, n2 in [(5, 5), (30, 70), (300, 300)]:
-            qsum = diag_log_from_parts(1.7, 0.6, 1.0, n1, n2)
-            assert qsum == pytest.approx(binomial_diag_log(1.7, 0.6, n1, n2), rel=1e-12)
-
     def test_stirling_chain_within_one_percent(self):
         assert abs(
             stirling_r1_log(2.0, 1.0, 300, 300) - binomial_diag_log(2.0, 1.0, 300, 300)
@@ -127,7 +121,7 @@ class TestDegenerateAndStirling:
         with pytest.raises(ValueError):
             stirling_r1_log(1.0, 1.0, 0, 5)
         with pytest.raises(ValueError):
-            diag_log_from_parts(-1.0, 1.0, 0.5, 2, 2)
+            rep_diag_log(GL2Matrix(-1.0, 0.5, 0.5, 1.0), 2, 2)
 
 
 class TestRatioRow:

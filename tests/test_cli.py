@@ -138,6 +138,17 @@ class TestSubcommands:
         code, out = run_cli(capsys, *argv)
         assert code == 2 and out == ""
 
+    def test_table_past_double_range_exits_two(self, capsys):
+        # the bounds C(L, n1) a^n1 d^n2 (a, d ~ 1e12) leave double range at
+        # L = 25, where the log-domain sandwich still holds
+        argv = ["deformed", "--g", "1e6,1e6,0,1e6", "--check", "table", "--l-max"]
+        assert run_cli(capsys, *argv, "24")[0] == 0
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(argv + ["25"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: norms at n1 + n2 = 25 leave double range")
+
     @pytest.mark.parametrize(
         "option, argv",
         [
@@ -214,6 +225,17 @@ class TestOutputs:
         )
         assert code == 0
         assert json.loads(out)["params"]["l_max"] == 4
+
+    @pytest.mark.parametrize("sub", ["hermite", "deformed", "bounds", "asympt", "fock", "displace", "quantize", "suite"])
+    def test_seed_only_on_rep(self, sub, tmp_path, capsys):
+        argv = {"deformed": ["--g", "1,1,0,1"], "bounds": ["--g", "1,1,0,1"]}.get(sub, [])
+        with pytest.raises(SystemExit) as exc:
+            main([sub, *argv, "--seed", "3"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = 3\n")
+        code, out = run_cli(capsys, sub, *argv, "--config", str(cfg))
+        assert code == 2 and out == ""
 
     def test_config_rejects_unknown_keys(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -288,9 +288,10 @@ class TestNormBounds:
     def test_dual_sandwich(self):
         nb = norm_bounds(SHEAR, 1, 1)
         val = dual_norm_sq(SHEAR, 1, 1)
-        assert nb.lower_dual == pytest.approx(2 / math.sqrt(math.pi), rel=1e-12)
-        assert nb.upper_dual == pytest.approx(4.0, rel=1e-12)
-        assert nb.lower_dual <= val <= nb.upper_dual
+        lower_dual, upper_dual = math.exp(nb.log_lower_dual), math.exp(nb.log_upper_dual)
+        assert lower_dual == pytest.approx(2 / math.sqrt(math.pi), rel=1e-12)
+        assert upper_dual == pytest.approx(4.0, rel=1e-12)
+        assert lower_dual <= val <= upper_dual
 
     def test_bound_violation_is_worst_log_gap_of_both_families(self):
         # the linear-domain closed forms as an independent route
@@ -301,6 +302,19 @@ class TestNormBounds:
                 val, dval = math.log(norm_sq(g, n1, n2)), math.log(dual_norm_sq(g, n1, n2))
                 gaps = (nb.log_lower - val, val - nb.log_upper, nb.log_lower_dual - dval, dval - nb.log_upper_dual)
                 assert norm_bound_violation(g, n1, n2) == pytest.approx(max(gaps), abs=1e-12)
+
+    def test_sector_call_equals_per_index_calls(self):
+        rng = np.random.default_rng(5)
+        for g in (SHEAR, GL2Matrix.diagonal(2, 1), random_gl2(rng), random_gl2(rng)):
+            for L in (2, 10, 24, 40):
+                n1 = np.arange(1, L)
+                nb, violation = norm_bounds(g, n1, L - n1), norm_bound_violation(g, n1, L - n1)
+                assert violation.shape == nb.log_lower.shape == n1.shape
+                for i, m in enumerate(n1.tolist()):
+                    one = norm_bounds(g, m, L - m)
+                    for field in ("log_lower", "log_upper", "log_lower_dual", "log_upper_dual"):
+                        assert getattr(nb, field)[i] == getattr(one, field)
+                    assert violation[i] == pytest.approx(norm_bound_violation(g, m, L - m), abs=1e-12)
 
     def test_sandwich_log_domain_large_L(self):
         from pblab.gl2 import rep_diag_log
@@ -321,6 +335,8 @@ class TestNormBounds:
     def test_min_zero_rejected(self):
         with pytest.raises(ValueError):
             norm_bounds(SHEAR, 0, 5)
+        with pytest.raises(ValueError):
+            norm_bound_violation(SHEAR, np.arange(0, 6), np.arange(5, -1, -1))
 
 
 class TestRieszGrowth:

@@ -27,7 +27,14 @@ from pblab.fock import pseudo_pair
 from pblab.gl2 import GL2Matrix, dual, random_gl2, rep_full
 from pblab.quadrature import polar_scheme
 
-from oracles import compose_check_full, covariance_check_full, displacement_closed_form, displacement_mpmath, laguerre
+from oracles import (
+    compose_check_full,
+    covariance_check_full,
+    displacement_closed_form,
+    displacement_mpmath,
+    laguerre,
+    resolution_check_full,
+)
 
 SHEAR = GL2Matrix(1, 1, 0, 1)
 
@@ -317,6 +324,15 @@ class TestResolution:
         scheme = polar_scheme(16, 4)
         dev = resolution_check(GL2Matrix.identity(), 1, scheme=scheme)
         assert dev <= 1e-10
+
+    @pytest.mark.parametrize("L_max", [0, 1, 5, 12])
+    def test_equals_full_truncation(self, L_max):
+        # sectors <= L_max/2 read only themselves: the check builds nothing above them
+        rng = np.random.default_rng(9)
+        for g in (GL2Matrix.identity(), SHEAR, random_gl2(rng, 0.6, 1.8)):
+            for scheme in (polar_scheme(64, 64), polar_scheme(6, 6)):
+                full = resolution_check_full(g, L_max, scheme)
+                assert resolution_check(g, L_max, scheme=scheme) == pytest.approx(full, rel=1e-12, abs=1e-15)
 
     def test_radial_tail_diagnostic(self):
         # the 27-th moment keeps ~7% of its mass beyond |z| = 6, which is why

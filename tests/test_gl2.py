@@ -8,6 +8,7 @@ from pblab.gl2 import (
     GL2Matrix,
     SectorOperator,
     dual,
+    positive_invariants,
     random_gl2,
     rep_block,
     rep_diag,
@@ -15,9 +16,8 @@ from pblab.gl2 import (
     rep_full,
     star_deviation,
 )
-from pblab.special import log_binomial
 
-from oracles import hyp2f1_terminating, rep_block_loop, rep_block_mpmath, rep_diag_qsum
+from oracles import hyp2f1_terminating, rep_block_loop, rep_block_mpmath, rep_diag_log_mpmath, rep_diag_qsum
 
 
 class TestGL2Matrix:
@@ -214,7 +214,7 @@ class TestRepDiag:
                 for n1 in range(0, L + 1, 5):
                     n2 = L - n1
                     val = rep_diag_log(h, n1, n2)
-                    mid = log_binomial(L, n1) + n1 * lh11 + n2 * lh22
+                    mid = math.log(math.comb(L, n1)) + n1 * lh11 + n2 * lh22
                     assert val <= mid + 1e-10
                     assert mid <= L * ltr + 1e-10
 
@@ -226,11 +226,46 @@ class TestRepDiag:
             )
 
     def test_positivity_gate(self):
-        g = GL2Matrix(1, 1, 0, 1)  # not Hermitian
+        for g in (GL2Matrix(1, 1, 0, 1), GL2Matrix.diagonal(-1, 1)):  # not Hermitian, not positive
+            with pytest.raises(ValueError):
+                rep_diag_log(g, 1, 1)
+            with pytest.raises(ValueError):
+                positive_invariants(g)
         with pytest.raises(ValueError):
-            rep_diag(g, 1, 1, require_positive=True)
-        with pytest.raises(ValueError):
-            rep_diag_log(g, 1, 1)
+            rep_diag_log(GL2Matrix(2, 1, 1, 1), [1, -1], 2)
+
+
+class TestRepDiagLogArrays:
+    # the sizes criterion 6 reads: n1 up to 200, n1 + n2 up to 405
+    PAIRS = [(0, 0), (0, 7), (9, 0), (1, 1), (12, 20), (100, 200), (200, 200), (200, 201), (200, 205)]
+
+    @pytest.mark.parametrize("r", [0.0, 0.2, 0.5, 0.8])
+    def test_against_40_digit_sum(self, r):
+        h = GL2Matrix(1.3, math.sqrt(r * 1.3 * 0.7), math.sqrt(r * 1.3 * 0.7), 0.7)
+        n1, n2 = np.array(self.PAIRS).T
+        got = rep_diag_log(h, n1, n2)
+        assert got.shape == n1.shape
+        for val, pair in zip(got, self.PAIRS):
+            assert val == pytest.approx(rep_diag_log_mpmath(h, *pair), rel=1e-14, abs=1e-14)
+
+    def test_diagonal_h_is_the_leading_product(self):
+        n1, n2 = np.meshgrid(np.arange(0, 300, 7), np.arange(0, 300, 11))
+        got = rep_diag_log(GL2Matrix.diagonal(2.5, 0.4), n1, n2)
+        assert np.array_equal(got, n1 * math.log(2.5) + n2 * math.log(0.4))
+
+    def test_broadcast_matches_scalar_calls(self):
+        h = random_gl2(np.random.default_rng(8)).gram()
+        n1 = np.arange(0, 41, 5)
+        row = rep_diag_log(h, n1[:, None], np.array([0, 3, 40]))
+        assert row.shape == (len(n1), 3)
+        for i, a in enumerate(n1):
+            for j, b in enumerate((0, 3, 40)):
+                assert row[i, j] == pytest.approx(rep_diag_log(h, int(a), b), rel=1e-14)
+
+    def test_invariants(self):
+        h11, h22, r = positive_invariants(GL2Matrix(2, 1 + 1j, 1 - 1j, 3))
+        assert (h11, h22) == (2, 3)
+        assert r == pytest.approx(1 / 3, rel=1e-15)
 
 
 class TestRepFull:

@@ -6,11 +6,12 @@ import pytest
 from pblab.quadrature import (
     PlaneScheme,
     exact_gaussian_moment,
-    gaussian_moment,
     integrate,
     polar_scheme,
     tensor_hermite_scheme,
 )
+
+from oracles import gaussian_moment
 
 
 def gaussian(z):
