@@ -320,11 +320,6 @@ def _weight_numeric_diagonal(s: float, n_max: int) -> np.ndarray:
     return terms.sum(axis=0)
 
 
-def weight_operator_numeric(s: float, n: int) -> float:
-    """Same diagonal by quadrature of e^{s|z|^2/2} D[n, n](z)."""
-    return float(_weight_numeric_diagonal(s, n)[n])
-
-
 def norm_growth_check(norms, r: float, alpha: float) -> bool:
     """True iff norms[n] <= r^n (n!)^alpha for every supplied n (log compare)."""
     if not 0 <= alpha < 0.5:
@@ -347,20 +342,3 @@ def norm_growth_certificate(T: SectorOperator, gram: GL2Matrix) -> tuple[np.ndar
     norms = np.concatenate([np.linalg.norm(b, axis=0) for b in T.blocks])
     r = math.sqrt((gram.g11 + gram.g22).real)
     return norms, r, norm_growth_check(norms, r, 0.0)
-
-
-def bicoherent_norm_envelope(z_abs: float, r: float, alpha: float) -> float:
-    """Envelope e^{-|z|^2} ( sum_n (r|z|)^n / (n!)^{1/2 - alpha} )^2 bounding
-    the squared norm of the coherent superposition under certified growth."""
-    if not 0 <= alpha < 0.5:
-        raise ValueError(f"need 0 <= alpha < 1/2, got {alpha}")
-    total = 0.0
-    term = 1.0
-    n = 0
-    while term > 1e-18 * max(total, 1.0):
-        total += term
-        n += 1
-        term *= (r * z_abs) / (n ** (0.5 - alpha))
-        if n > 10_000:
-            raise ArithmeticError("envelope sum failed to converge")
-    return math.exp(-(z_abs**2)) * total**2

@@ -21,6 +21,8 @@ from . import indexing
 from .gl2 import GL2Matrix, SectorOperator, rep_full
 
 _COND_LIMIT = 1e6
+# rows per strip of a dense commutator's second product
+_STRIP_ROWS = 256
 
 
 def safe_part(mat: np.ndarray, L_max: int) -> np.ndarray:
@@ -29,8 +31,15 @@ def safe_part(mat: np.ndarray, L_max: int) -> np.ndarray:
 
 
 def commutator(x, y):
-    """[x, y] for two arrays or two SectorOperators."""
-    return x @ y - y @ x
+    """[x, y] for two arrays or two SectorOperators.  For arrays, y x is
+    subtracted from x y one strip of rows at a time, so only one d x d
+    product is held at once."""
+    if isinstance(x, SectorOperator):
+        return x @ y - y @ x
+    out = x @ y
+    for i in range(0, len(out), _STRIP_ROWS):
+        out[i : i + _STRIP_ROWS] -= y[i : i + _STRIP_ROWS] @ x
+    return out
 
 
 def ladder(L_max: int) -> tuple[SectorOperator, SectorOperator]:
@@ -126,18 +135,6 @@ def pseudo_pair(g: GL2Matrix, L_max: int) -> PseudoPair:
     T = rep_full(g, L_max)
     T_inv = rep_full(g.inv(), L_max)
     return PseudoPair(g, L_max, T @ lower @ T_inv, T @ raiser @ T_inv, T, T_inv)
-
-
-def cuntz_isometry(n: int, L_max: int) -> np.ndarray:
-    """Shift isometry e_m -> e_flatten(m, n), defined on columns with
-    m + n <= L_max (images inside the truncation); a partial permutation,
-    as a dense d x d array."""
-    if not 0 <= n <= L_max:
-        raise ValueError(f"need 0 <= n <= L_max, got n = {n}")
-    d = indexing.dim(L_max)
-    mat = np.zeros((d, d), dtype=complex)
-    mat[cuntz_images(n, L_max), np.arange(cuntz_domain_dim(n, L_max))] = 1.0
-    return mat
 
 
 def cuntz_domain_dim(n: int, L_max: int) -> int:

@@ -10,11 +10,15 @@ with q running over max(0, m'+m-L) <= q <= min(m', m).  The sum is the
 definition, not the route: on near-unitary g its terms cancel, to about 1e-5
 of the block maximum at L = 100 even with a 64-bit mantissa.  Column m of the
 q-sum holds the coefficients of (g11 x + g21)^m (g12 x + g22)^(L-m), so
-``rep_block`` and ``rep_full`` build it in complex128 by a degree recursion
-that multiplies by one linear factor per degree, the Sym^L analogue of the
-large-degree Wigner-d recursions (Risbo 1996; Gumerov and Duraiswami 2014);
-its error there stays under 2e-12.  The diagonal element also has a
-Jacobi-polynomial closed form,
+``rep_block`` and ``rep_full`` build it by a degree recursion that multiplies
+by one linear factor per degree, the Sym^L analogue of the large-degree
+Wigner-d recursions (Risbo 1996; Gumerov and Duraiswami 2014); its error
+there stays under 2e-12.  The recursion runs in float64 when every entry of
+g has zero imaginary part, since then every block is real, and in complex128
+otherwise; the float64 blocks equal the real parts of the complex128 ones,
+because a complex product or sum of numbers with zero imaginary parts rounds
+its real part exactly as the real operation does.  The diagonal element also
+has a Jacobi-polynomial closed form,
 
     T^L[n1,n2; n1,n2](h) = (det h)^{n1} h22^{n2-n1}
                            P_{n1}^{(0, n2-n1)}(1 + 2 h12 h21 / det h),
@@ -38,7 +42,7 @@ from .special import jacobi_sum
 
 @dataclass(frozen=True)
 class GL2Matrix:
-    """Invertible 2x2 complex matrix with cached determinant."""
+    """Invertible 2x2 complex matrix with cached determinant and gram."""
 
     g11: complex
     g12: complex
@@ -53,6 +57,14 @@ class GL2Matrix:
     @cached_property
     def det(self) -> complex:
         return self.g11 * self.g22 - self.g12 * self.g21
+
+    def gram(self) -> "GL2Matrix":
+        """The positive Hermitian product (dagger g) g, built once per instance."""
+        return self._gram
+
+    @cached_property
+    def _gram(self) -> "GL2Matrix":
+        return GL2Matrix.from_array(self.dagger().as_array() @ self.as_array())
 
     @classmethod
     def from_array(cls, mat) -> "GL2Matrix":
@@ -80,10 +92,6 @@ class GL2Matrix:
         return GL2Matrix(
             np.conj(self.g11), np.conj(self.g21), np.conj(self.g12), np.conj(self.g22)
         )
-
-    def gram(self) -> "GL2Matrix":
-        """The positive Hermitian product (dagger g) g."""
-        return GL2Matrix.from_array(self.dagger().as_array() @ self.as_array())
 
     def cond(self) -> float:
         return float(np.linalg.cond(self.as_array()))
@@ -116,6 +124,13 @@ def random_gl2(rng: np.random.Generator, sigma_min: float = 1 / 3, sigma_max: fl
     return GL2Matrix.from_array(unitary() @ np.diag(s) @ unitary())
 
 
+def _entries(g: GL2Matrix) -> np.ndarray:
+    """(g11, g12, g21, g22) in float64 when all four have zero imaginary
+    part, else in complex128."""
+    entries = np.array([g.g11, g.g12, g.g21, g.g22], dtype=complex)
+    return entries if entries.imag.any() else entries.real
+
+
 def _degree_steps(g: GL2Matrix, L_max: int):
     """Yield one (L_max+1)x(L_max+1) buffer after each degree k = 0..L_max;
     after step k it holds every plain-monomial column of sector k.
@@ -127,14 +142,17 @@ def _degree_steps(g: GL2Matrix, L_max: int):
     0..ceil(k/2)-1 hold sector k's columns m = j, and columns
     L_max-k+ceil(k/2)..L_max hold its columns m = j-(L_max-k).  Taking all
     factors of one kind first instead lets the error grow like
-    eps sqrt(C(L, m)).  The same buffer is updated in place and yielded.
+    eps sqrt(C(L, m)).  The same buffer is updated in place and yielded; it
+    is float64 when every entry of g is real in value, complex128 otherwise.
     """
+    entries = _entries(g)
+    g11, g12, g21, g22 = entries
     k = np.arange(1, L_max + 1)
     # step k applies (g11 x + g21) to the columns j >= split[k-1]
     split = np.where(k % 2, (k + 1) // 2, L_max + 1 - k // 2)
     first = np.arange(L_max + 1) >= split[:, None]
-    lead, const = np.where(first, g.g11, g.g12), np.where(first, g.g21, g.g22)
-    buf = np.zeros((L_max + 1, L_max + 1), dtype=complex)
+    lead, const = np.where(first, g11, g12), np.where(first, g21, g22)
+    buf = np.zeros((L_max + 1, L_max + 1), dtype=entries.dtype)
     buf[0] = 1
     yield buf
     for k, (a, b) in enumerate(zip(lead, const), 1):
@@ -280,6 +298,10 @@ class SectorOperator:
         """The diagonal blocks, sector by sector."""
         return tuple(self.parts.get((L, L), np.zeros((L + 1, L + 1))) for L in range(self.L_max + 1))
 
+    def _dtype(self, *args) -> np.dtype:
+        """The result dtype of the blocks and ``args``, at least float64."""
+        return np.result_type(float, *args, *{b.dtype for b in self.parts.values()})
+
     @property
     def dim(self) -> int:
         return indexing.dim(self.L_max)
@@ -290,15 +312,16 @@ class SectorOperator:
 
     @property
     def mat(self) -> np.ndarray:
-        """The dense d x d matrix, built on each access."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        """The dense d x d matrix, built on each access, in the common dtype
+        of the blocks: float64 for real blocks, such as T(g) of a real g."""
+        out = np.zeros((self.dim, self.dim), dtype=self._dtype())
         for (i, j), block in self.parts.items():
             out[_sector_slice(i), _sector_slice(j)] = block
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """X x for a flat vector or a matrix whose rows are flat indices."""
-        out = np.zeros(x.shape, dtype=complex)
+        out = np.zeros(x.shape, dtype=self._dtype(x))
         for (i, j), block in self.parts.items():
             out[_sector_slice(i)] += block @ x[_sector_slice(j)]
         return out
@@ -306,7 +329,7 @@ class SectorOperator:
     def apply_right(self, x: np.ndarray) -> np.ndarray:
         """x X for a matrix whose columns are flat indices; T Y T^{-1} for a
         dense Y is ``T.apply(T_inv.apply_right(Y))``, at O(d sum_L (L+1)^2)."""
-        out = np.zeros(x.shape, dtype=complex)
+        out = np.zeros(x.shape, dtype=self._dtype(x))
         for (i, j), block in self.parts.items():
             out[:, _sector_slice(j)] += x[:, _sector_slice(i)] @ block
         return out
@@ -352,7 +375,7 @@ def rep_full(g: GL2Matrix, L_max: int) -> SectorOperator:
     # the blocks share one allocation: scattered over the heap between d x d
     # arrays, they left holes that raised peak memory by 9 MB in about half
     # the runs at L_max 45
-    store = np.empty((L_max + 1) * (L_max + 2) * (2 * L_max + 3) // 6, dtype=complex)
+    store = np.empty((L_max + 1) * (L_max + 2) * (2 * L_max + 3) // 6, dtype=_entries(g).dtype)
     parts, start = {}, 0
     for L, buf in enumerate(_degree_steps(g, L_max)):
         low = (L + 1) // 2

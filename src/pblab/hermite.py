@@ -72,10 +72,6 @@ class PolyCoeffs:
         """Value of sum c[j,k] z^j conj(z)^k at the point z."""
         return complex(polyval2d(z, np.conj(z), self.coeff))
 
-    def allclose(self, other: "PolyCoeffs", atol: float = 1e-12) -> bool:
-        diff = (self - other).coeff
-        return bool(np.all(np.abs(diff) <= atol))
-
     def __repr__(self):
         return f"PolyCoeffs(deg_z={self.deg_z}, deg_zbar={self.deg_zbar})"
 

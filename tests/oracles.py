@@ -2,14 +2,17 @@
 
 Each oracle computes a quantity the library also computes, by a different
 route: the entrywise or 50-digit q-sum of a representation block (and the
-modulus sum that scales its rounding error), the q-sum of a diagonal
-element and the 40-digit log of a positive one, the hypergeometric form of
-a Jacobi polynomial, the finite sum of a generalized Laguerre polynomial,
+modulus sum that scales its rounding error), the degree recursion run in
+complex128 for every g, the q-sum of a diagonal element and the 40-digit
+log of a positive one, the hypergeometric form of a Jacobi polynomial, the
+finite sum of a generalized Laguerre polynomial,
 the double-precision and 40-digit Laguerre closed forms of the
 displacement elements, the exact-rational and the entry-by-entry
 contraction transform, the scalar expansion of a deformed monomial,
 criterion 2 one mode at a time, the r = 1 closed forms of the diagonal,
-the float Gaussian moments, the dense products of the shift isometries,
+the float Gaussian moments, the weight-operator diagonal and the norm
+envelope of a bi-coherent state, entrywise closeness of coefficient grids,
+the shift isometries as dense arrays and their dense products,
 of the displacement composition and covariance, of the metric pair and of
 the two-mode, deformed and pseudo-bosonic commutators, the resolution of
 the identity on the whole truncation, and, from coefficient grids and
@@ -26,10 +29,10 @@ import mpmath
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from pblab import indexing
+from pblab import fock, indexing
 from pblab.deformed import deformed_coeffs, deformed_via_rep, norm_sq, norm_sq_inner
-from pblab.displacement import canonical_displacement, coherent_coefficients, wedge
-from pblab.fock import cuntz_domain_dim, cuntz_isometry, metric_operators
+from pblab.displacement import canonical_displacement, coherent_coefficients, weight_diagonal_table, wedge
+from pblab.fock import cuntz_domain_dim, metric_operators
 from pblab.gl2 import GL2Matrix, dual, random_gl2, rep_full
 from pblab.hermite import hermite_coeffs, hermite_via_contraction, inner
 from pblab.quadrature import FACTORIALS, PlaneScheme, exact_gaussian_moment, polar_scheme
@@ -58,6 +61,32 @@ def rep_block_loop(g, L):
                 )
             out[mp, m] = acc * math.exp(half_log_norm[mp] - half_log_norm[m])
     return out
+
+
+def rep_blocks_complex128(g, L_max):
+    """Every sector block L <= L_max of T(g) by the library's degree
+    recursion, run in complex128 whatever the entries of g: one linear factor
+    per degree, the two kinds alternating, sector k's columns read off the
+    buffer after step k and normalized by sqrt(C(k, m) / C(k, m'))."""
+    k = np.arange(1, L_max + 1)
+    split = np.where(k % 2, (k + 1) // 2, L_max + 1 - k // 2)
+    first = np.arange(L_max + 1) >= split[:, None]
+    g11, g12, g21, g22 = (complex(x) for x in (g.g11, g.g12, g.g21, g.g22))
+    steps = zip(np.where(first, g11, g12), np.where(first, g21, g22))
+    buf = np.zeros((L_max + 1, L_max + 1), dtype=complex)
+    buf[0] = 1
+    blocks = []
+    for L in range(L_max + 1):
+        if L:
+            a, b = next(steps)
+            shifted = a * buf[:L]
+            buf[: L + 1] *= b
+            buf[1 : L + 1] += shifted
+        low = (L + 1) // 2
+        monomial = np.concatenate((buf[: L + 1, :low], buf[: L + 1, L_max - L + low :]), axis=1)
+        binom = np.array([math.comb(L, m) for m in range(L + 1)], dtype=float)
+        blocks.append(monomial * np.sqrt(binom / binom[:, None]))
+    return blocks
 
 
 def rep_block_mpmath(g, L, dps=50):
@@ -330,6 +359,19 @@ def norm_identity_deviation_moments(g: GL2Matrix, L_values) -> float:
     return float(np.max(rel))
 
 
+def cuntz_isometry(n: int, L_max: int) -> np.ndarray:
+    """Shift isometry e_m -> e_flatten(m, n), defined on columns with
+    m + n <= L_max (images inside the truncation); a partial permutation,
+    as a dense d x d array, filled from ``fock.cuntz_images`` (looked up on
+    the module, so a test that patches it breaks this matrix too)."""
+    if not 0 <= n <= L_max:
+        raise ValueError(f"need 0 <= n <= L_max, got n = {n}")
+    d = indexing.dim(L_max)
+    mat = np.zeros((d, d), dtype=complex)
+    mat[fock.cuntz_images(n, L_max), np.arange(cuntz_domain_dim(n, L_max))] = 1.0
+    return mat
+
+
 def cuntz_deviation_dense(L_max: int) -> float:
     """The shift-isometry relations S_m^dag S_n = delta_mn (identity on the
     domain, m <= n) and sum_n S_n S_n^dag = I by dense matrix products."""
@@ -442,3 +484,31 @@ def deformed_ccr_deviation_dense(g: GL2Matrix, L_max: int) -> float:
 def pseudo_commutator_deviation_dense(pair) -> float:
     """[a, b] = I on the safe block by dense products of the pair's matrices."""
     return _safe_commutator_residual(pair.a_op.mat, pair.b_op.mat, 1.0, pair.L_max)
+
+
+def bicoherent_norm_envelope(z_abs: float, r: float, alpha: float) -> float:
+    """Envelope e^{-|z|^2} ( sum_n (r|z|)^n / (n!)^{1/2 - alpha} )^2 bounding
+    the squared norm of the coherent superposition under certified growth."""
+    if not 0 <= alpha < 0.5:
+        raise ValueError(f"need 0 <= alpha < 1/2, got {alpha}")
+    total = 0.0
+    term = 1.0
+    n = 0
+    while term > 1e-18 * max(total, 1.0):
+        total += term
+        n += 1
+        term *= (r * z_abs) / (n ** (0.5 - alpha))
+        if n > 10_000:
+            raise ArithmeticError("envelope sum failed to converge")
+    return math.exp(-(z_abs**2)) * total**2
+
+
+def weight_operator_numeric(s: float, n: int) -> float:
+    """The weight-operator diagonal at n by quadrature of e^{s|z|^2/2} D[n, n](z),
+    the numeric column of ``weight_diagonal_table``."""
+    return weight_diagonal_table(s, n)[n]["numeric"]
+
+
+def poly_allclose(p, q, atol: float = 1e-12) -> bool:
+    """Whether two coefficient grids agree entrywise to ``atol``."""
+    return bool(np.all(np.abs((p - q).coeff) <= atol))

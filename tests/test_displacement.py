@@ -6,7 +6,6 @@ import pytest
 from pblab import displacement, indexing
 from pblab.displacement import (
     bicoherent,
-    bicoherent_norm_envelope,
     canonical_displacement,
     coherent_coefficients,
     compose_check,
@@ -20,7 +19,6 @@ from pblab.displacement import (
     resolution_check,
     weight_diagonal_table,
     weight_operator_diag,
-    weight_operator_numeric,
     wedge,
 )
 from pblab.fock import pseudo_pair
@@ -28,12 +26,14 @@ from pblab.gl2 import GL2Matrix, dual, random_gl2, rep_full
 from pblab.quadrature import polar_scheme
 
 from oracles import (
+    bicoherent_norm_envelope,
     compose_check_full,
     covariance_check_full,
     displacement_closed_form,
     displacement_mpmath,
     laguerre,
     resolution_check_full,
+    weight_operator_numeric,
 )
 
 SHEAR = GL2Matrix(1, 1, 0, 1)

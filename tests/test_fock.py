@@ -9,7 +9,6 @@ from pblab.fock import (
     cuntz_deviation,
     cuntz_domain_dim,
     cuntz_images,
-    cuntz_isometry,
     deformed_two_mode,
     ladder,
     ladder_deviation,
@@ -28,6 +27,7 @@ from pblab.quantize import quantize_regularized_oracle, unit_weight
 from oracles import (
     ccr_deviation_dense,
     cuntz_deviation_dense,
+    cuntz_isometry,
     deformed_ccr_deviation_dense,
     metric_deviation_dense,
     pseudo_commutator_deviation_dense,
@@ -295,6 +295,37 @@ class TestCommutatorsAgainstDenseProducts:
         # dim 5151: one dense d x d matrix would take 424 MB
         assert fock.ccr_deviation(100) <= 1e-13
         assert fock.deformed_ccr_deviation(GL2Matrix(1.1, 0.2, 0.1, 0.9), 100) <= 1e-12
+
+
+class TestDenseCommutator:
+    """The dense commutator, whose y x is subtracted in strips of rows."""
+
+    @pytest.mark.parametrize("d", [fock._STRIP_ROWS // 2, 2 * fock._STRIP_ROWS + 1, 1081])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_strips_match_two_products(self, d, kind):
+        rng = np.random.default_rng(d)
+        x, y = rng.normal(size=(2, d, d)).astype(kind)
+        if kind is complex:
+            x.imag, y.imag = rng.normal(size=(2, d, d))
+        got = commutator(x, y)
+        assert got.dtype == x.dtype
+        bound = np.finfo(float).eps * d * np.max(np.abs(x)) * np.max(np.abs(y))
+        assert np.max(np.abs(got - (x @ y - y @ x))) <= bound
+
+
+class TestRealRoute:
+    """Operators built from T(g) of a real g hold float64 blocks only."""
+
+    @pytest.mark.parametrize("g", [SHEAR, GL2Matrix(0.6, 0.8, -0.8, 0.6), GL2Matrix(1.1, 0.2, 0.1, 0.9)])
+    def test_pair_and_metric_of_a_real_g_are_real(self, g):
+        pair = pseudo_pair(g, 8)
+        ops = (pair.a_op, pair.b_op, pair.T, pair.T_inv, pair.number_operator(), *metric_operators(g, 8))
+        assert all(b.dtype == np.float64 for op in ops for b in op.parts.values())
+        assert pair.a_op.mat.dtype == np.float64
+
+    def test_pair_of_a_complex_g_is_complex(self):
+        pair = pseudo_pair(GL2Matrix(1.2, 0.3 + 0.1j, 0.2, 0.9), 8)
+        assert all(b.dtype == np.complex128 for op in (pair.a_op, pair.T) for b in op.parts.values())
 
 
 _GROUP_LAW_RNG = np.random.default_rng(40)

@@ -17,7 +17,14 @@ from pblab.gl2 import (
     star_deviation,
 )
 
-from oracles import hyp2f1_terminating, rep_block_loop, rep_block_mpmath, rep_diag_log_mpmath, rep_diag_qsum
+from oracles import (
+    hyp2f1_terminating,
+    rep_block_loop,
+    rep_block_mpmath,
+    rep_blocks_complex128,
+    rep_diag_log_mpmath,
+    rep_diag_qsum,
+)
 
 
 class TestGL2Matrix:
@@ -40,6 +47,11 @@ class TestGL2Matrix:
         rng = np.random.default_rng(7)
         for _ in range(5):
             assert random_gl2(rng).gram().is_positive_hermitian()
+
+    def test_gram_built_once_with_the_same_bits(self):
+        g = GL2Matrix(1.2, 0.3 + 0.1j, 0.2, 0.9)
+        assert g.gram() is g.gram()
+        assert np.array_equal(g.gram().as_array(), g.dagger().as_array() @ g.as_array())
 
 
 class TestDual:
@@ -323,6 +335,45 @@ class TestRepFull:
             SectorOperator(1, {(1, 1): np.full((2, 2), np.nan, dtype=complex)})
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(np.ascontiguousarray(a).view(np.uint8), np.ascontiguousarray(b).view(np.uint8))
+
+
+# real in value: the shear, a rotation, diag(2, 1), a non-cancelling matrix,
+# and the same matrix read from an array, which stores complex entries
+REAL_MATRICES = {
+    "shear": GL2Matrix(1, 1, 0, 1),
+    "rotation": GL2Matrix(0.6, 0.8, -0.8, 0.6),
+    "diag": GL2Matrix(2, 0, 0, 1),
+    "draw": GL2Matrix(1.1, 0.2, 0.1, 0.9),
+    "from_array": GL2Matrix.from_array(np.array([[1.1, 0.2], [0.1, 0.9]])),
+}
+COMPLEX_MATRICES = {
+    "imaginary_entry": GL2Matrix(1.2, 0.3 + 0.1j, 0.2, 0.9),
+    "random": random_gl2(np.random.default_rng(40), 0.8, 1.3),
+}
+
+
+class TestRealRoute:
+    @pytest.mark.parametrize("L", [12, 60, 100])
+    @pytest.mark.parametrize("name", REAL_MATRICES)
+    def test_real_g_gives_the_real_part_of_the_complex_run(self, name, L):
+        g = REAL_MATRICES[name]
+        ref = rep_blocks_complex128(g, L)
+        assert not any(np.any(b.imag) for b in ref)
+        assert _same_bits(rep_block(g, L), ref[L].real)
+        full = rep_full(g, L)
+        assert all(_same_bits(got, want.real) for got, want in zip(full.blocks, ref))
+
+    @pytest.mark.parametrize("L", [12, 60, 100])
+    @pytest.mark.parametrize("name", COMPLEX_MATRICES)
+    def test_complex_g_stays_complex128(self, name, L):
+        g = COMPLEX_MATRICES[name]
+        ref = rep_blocks_complex128(g, L)
+        assert _same_bits(rep_block(g, L), ref[L])
+        assert all(_same_bits(got, want) for got, want in zip(rep_full(g, L).blocks, ref))
+
+
 class TestDegreeLimit:
     def test_degrees_past_double_range_rejected(self):
         # C(1030, 515) is about 2.9e308, past the largest finite double
@@ -373,6 +424,17 @@ class TestSectorOperator:
         # a missing diagonal block on the safe block counts as zero
         assert SectorOperator(2, {(0, 0): np.eye(1)}).safe_deviation(1.0) == 1.0
         assert SectorOperator(2, {}).safe_deviation(0.0) == 0.0
+
+    def test_dtypes_follow_blocks_and_arguments(self):
+        real, cplx = rep_full(REAL_MATRICES["draw"], 3), rep_full(COMPLEX_MATRICES["random"], 3)
+        x = np.random.default_rng(32).normal(size=(real.dim, 2))
+        assert (real.mat.dtype, cplx.mat.dtype) == (np.float64, np.complex128)
+        for op in (real, cplx):
+            for arg in (x, x + 1j):
+                want = np.result_type(op.mat, arg)
+                assert op.apply(arg).dtype == want and op.apply_right(arg.T).dtype == want
+                assert np.max(np.abs(op.apply(arg) - op.mat @ arg)) <= 1e-13
+                assert np.max(np.abs(op.apply_right(arg.T) - arg.T @ op.mat)) <= 1e-13
 
     def test_overflowing_product_rejected(self):
         x = SectorOperator(1, {(1, 1): np.full((2, 2), 1e200)})
