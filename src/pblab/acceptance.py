@@ -126,7 +126,6 @@ def criterion_02_construction_equivalence() -> CriterionResult:
     tol = 1e-10
     rng = np.random.default_rng(0)
     worst = 0.0
-    hermite = [hermite_sector(L) for L in range(9)]
     contracted = [
         exp_contraction(sector_stack([monomial_basis(m, L - m) for m in range(L + 1)], L)) for L in range(9)
     ]
@@ -134,7 +133,7 @@ def criterion_02_construction_equivalence() -> CriterionResult:
         g = random_gl2(rng)
         for L, block in enumerate(rep_full(g, 8).blocks):
             a = deformed_sector(g, L, range(L + 1))
-            b = combine_sector(block, hermite[L])
+            b = combine_sector(block, hermite_sector(L))
             c = combine_sector(block, contracted[L])
             worst = _worst(worst, float(np.max(np.abs(a - b))), float(np.max(np.abs(a - c))))
     return CriterionResult(
@@ -238,9 +237,9 @@ def criterion_07_operator_algebra() -> CriterionResult:
     matrices = [SHEAR, GL2Matrix.diagonal(2, 1)] + [random_gl2(rng, 0.8, 1.3) for _ in range(10)]
     for g in matrices:
         pair = pseudo_pair(g, L_max)
-        gram_family = np.array(
-            [[np.vdot(pair.vec_psi(m), pair.vec_phi(n)) for n in range(12)] for m in range(12)]
-        )
+        phi = np.stack([pair.vec_phi(n) for n in range(12)], axis=1)
+        psi = np.stack([pair.vec_psi(m) for m in range(12)], axis=1)
+        gram_family = psi.conj().T @ phi
         biorth = float(np.max(np.abs(gram_family - np.eye(12))))
         worst = _worst(worst, deformed_ccr_deviation(g, L_max), biorth)
         worst = _worst(worst, pseudo_commutator_deviation(pair), ladder_deviation(pair))

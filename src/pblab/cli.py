@@ -179,8 +179,9 @@ def cmd_rep(args) -> int:
         results.append(_check_row("star", star_deviation(g, args.L), args.tol))
     elif args.check == "diag":
         block = rep_block(g, args.L)
-        diag = [rep_diag(g, n1, args.L - n1) for n1 in range(args.L + 1)]
-        worst = np.max([abs(val - block[n1, n1]) / max(1.0, abs(val)) for n1, val in enumerate(diag)])
+        n1 = np.arange(args.L + 1)
+        diag = rep_diag(g, n1, args.L - n1)
+        worst = np.max(np.abs(diag - np.diagonal(block)) / np.maximum(1.0, np.abs(diag)))
         results.append(_check_row("diag-vs-block", worst, args.tol))
     return emit_report(args, "rep", params, results, all(r["pass"] for r in results))
 
@@ -202,14 +203,12 @@ def cmd_deformed(args) -> int:
             inner = np.arange(1, L)  # min(n1, n2) >= 1, where the sandwich is defined
             nb = norm_bounds(g, inner, L - inner)
             holds = norm_bound_violation(g, inner, L - inner) <= NORM_BOUND_LOG_SLACK
-            for n1 in range(L + 1):
+            n1s = np.arange(L + 1)
+            norms = norm_sq(g, n1s, L - n1s).tolist()
+            dual_norms = dual_norm_sq(g, n1s, L - n1s).tolist()
+            for n1, (ns, dns) in enumerate(zip(norms, dual_norms)):
                 n2 = L - n1
-                row = {
-                    "n1": n1,
-                    "n2": n2,
-                    "norm_sq": norm_sq(g, n1, n2),
-                    "dual_norm_sq": dual_norm_sq(g, n1, n2),
-                }
+                row = {"n1": n1, "n2": n2, "norm_sq": ns, "dual_norm_sq": dns}
                 if min(n1, n2) >= 1:
                     row.update(lower=float(nb.lower[n1 - 1]), upper=float(nb.upper[n1 - 1]))
                     row["product"] = row["norm_sq"] * row["dual_norm_sq"]

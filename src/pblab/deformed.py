@@ -140,13 +140,15 @@ def biorth_gram(g: GL2Matrix, L_max: int):
     return gram, deviation
 
 
-def norm_sq(g: GL2Matrix, n1: int, n2: int) -> float:
-    """Exact squared norm of h^g_{n1,n2}: the T-diagonal of (dagger g) g."""
+def norm_sq(g: GL2Matrix, n1, n2):
+    """Exact squared norm of h^g_{n1,n2} at the index arrays n1, n2: the
+    T-diagonal of (dagger g) g."""
     return rep_diag(g.gram(), n1, n2).real
 
 
-def dual_norm_sq(g: GL2Matrix, n1: int, n2: int) -> float:
-    """Squared norm of the dual polynomial: T-diagonal of ((dagger g) g)^(-1)."""
+def dual_norm_sq(g: GL2Matrix, n1, n2):
+    """Squared norm of the dual polynomial at the index arrays n1, n2: the
+    T-diagonal of ((dagger g) g)^(-1)."""
     return rep_diag(g.gram().inv(), n1, n2).real
 
 
@@ -165,7 +167,7 @@ def norm_identity_deviation(g: GL2Matrix, L_values) -> float:
     values = family_values(g, L_max, scheme.nodes)
     flat = [n for L in L_values for n in indexing.sector_range(L)]
     integrated = np.abs(values[flat]) ** 2 @ scheme.weights
-    exact = np.array([norm_sq(g, *indexing.unflatten(n)) for n in flat])
+    exact = norm_sq(g, *np.array([indexing.unflatten(n) for n in flat]).T)
     return float(np.max(np.abs(exact - integrated) / np.abs(exact)))
 
 

@@ -17,16 +17,16 @@ there stays under 2e-12.  The recursion runs in float64 when every entry of
 g has zero imaginary part, since then every block is real, and in complex128
 otherwise; the float64 blocks equal the real parts of the complex128 ones,
 because a complex product or sum of numbers with zero imaginary parts rounds
-its real part exactly as the real operation does.  The diagonal element also
-has a Jacobi-polynomial closed form,
+its real part exactly as the real operation does.  The diagonal element has
+the closed form
 
-    T^L[n1,n2; n1,n2](h) = (det h)^{n1} h22^{n2-n1}
-                           P_{n1}^{(0, n2-n1)}(1 + 2 h12 h21 / det h),
+    T^L[n1,n2; n1,n2](h) = sum_k C(n1, k) C(n2, k) h11^{n1-k} h22^{n2-k} (h12 h21)^k,
 
-kept as an independent cross-check, plus a log-domain evaluation for positive
-Hermitian h over whole index arrays that stays finite far beyond
-double-precision range (every term of its symmetric expansion is then
-non-negative, so log-sum-exp is stable).
+the Jacobi form (det h)^{n1} h22^{n2-n1} P_{n1}^{(0, n2-n1)}(1 + 2 h12 h21 / det h)
+expanded, which ``rep_diag`` evaluates over whole index arrays, and which
+``rep_diag_log`` sums in the log domain for positive Hermitian h, where
+every term is non-negative, so log-sum-exp is stable and stays finite far
+beyond double-precision range.
 """
 
 import math
@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
+from scipy.special import binom, gammaln, logsumexp, xlogy
 
 from . import indexing
-from .special import jacobi_sum
 
 
 @dataclass(frozen=True)
@@ -212,21 +211,40 @@ def star_deviation(g: GL2Matrix, L: int) -> float:
     return float(np.max(np.abs(rep_block(g.dagger(), L) - tg.conj().T))) / scale
 
 
-def rep_diag(h: GL2Matrix, n1: int, n2: int) -> complex:
-    """Diagonal element at (n1, n2) via the Jacobi-polynomial closed form.
+def _index_grid(n1, n2):
+    """The index arrays n1, n2 broadcast together, their minimum, and the
+    summation index k = 0..max min(n1, n2) of the diagonal's sum."""
+    n1, n2 = np.broadcast_arrays(n1, n2)
+    low = np.minimum(n1, n2)
+    if (low < 0).any():
+        raise ValueError("indices must be non-negative")
+    return n1, n2, low, np.arange(low.max(initial=0) + 1)
 
-    For n1 > n2 the 1 <-> 2 exchange symmetry of the diagonal is used so the
-    Jacobi superscript stays non-negative.  Agrees with rep_block's diagonal
-    entry for every invertible h.
+
+def rep_diag(h: GL2Matrix, n1, n2):
+    """Diagonal element at the index arrays n1, n2 (broadcast together), any
+    size of them, as complex; a scalar for scalar indices.
+
+    The closed form is the finite sum
+
+        sum_k C(n1, k) C(n2, k) h11^(n1-k) h22^(n2-k) (h12 h21)^k,
+
+    the q-sum's diagonal entry, and the expanded Jacobi form: with alpha = 0
+    and an integer beta every binomial of P_{n1}^{(0, n2-n1)} is an integer.
+    It runs in float64 when every entry of h is real in value, and in
+    complex128 otherwise.
     """
-    if n1 < 0 or n2 < 0:
-        raise ValueError(f"indices must be non-negative, got ({n1}, {n2})")
-    if n1 > n2:
-        h = GL2Matrix(h.g22, h.g21, h.g12, h.g11)
-        n1, n2 = n2, n1
-    x = 1 + 2 * h.g12 * h.g21 / h.det
-    val = h.det**n1 * h.g22 ** (n2 - n1) * jacobi_sum(n1, 0, n2 - n1, x)
-    return complex(val)
+    n1, n2, low, k = _index_grid(n1, n2)
+    h11, h12, h21, h22 = _entries(h)
+    # summed as h11^(n1-low) h22^(n2-low) sum_k C C (h11 h22)^(low-k) (h12 h21)^k,
+    # low = min(n1, n2), so that no power leaves double range where the value
+    # does not (h11^n1 alone would for diag(1e5, 1e-5) at n1 = n2 = 62);
+    # past low a term is zero, and its powers repeat the last term's
+    top = low[..., None]
+    j = np.minimum(k, top)
+    coeff = np.where(k <= top, binom(n1[..., None], j) * binom(n2[..., None], j), 0.0)
+    sums = np.sum(coeff * (h11 * h22) ** (top - j) * (h12 * h21) ** j, axis=-1)
+    return (h11 ** (n1 - low) * h22 ** (n2 - low) * sums).astype(complex)[()]
 
 
 def positive_invariants(h: GL2Matrix) -> tuple[float, float, float]:
@@ -253,11 +271,8 @@ def rep_diag_log(h: GL2Matrix, n1, n2):
     (diagonal h) only the m = 0 term is left.
     """
     h11, h22, r = positive_invariants(h)
-    n1, n2 = np.broadcast_arrays(n1, n2)
-    if np.any(n1 < 0) or np.any(n2 < 0):
-        raise ValueError("indices must be non-negative")
-    # m runs to the largest min(n1, n2); a binomial is -inf past its own
-    m = np.arange(np.max(np.minimum(n1, n2), initial=0) + 1)
+    n1, n2, _, m = _index_grid(n1, n2)
+    # a binomial is -inf past its own min(n1, n2)
     terms = _log_comb(n1[..., None], m) + _log_comb(n2[..., None], m) + xlogy(m, r)
     return xlogy(n1, h11) + xlogy(n2, h22) + logsumexp(terms, axis=-1)
 

@@ -18,6 +18,7 @@ sqrt(n1! n2!) h_{n1,n2} has integer coefficients and integer Gaussian inner
 products, making the orthonormality defect exactly zero in exact arithmetic.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -112,9 +113,13 @@ def sector_stack(polys, L: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=13)
 def hermite_sector(L: int) -> np.ndarray:
-    """The grids of h_{m, L-m} for m = 0..L, stacked by ``sector_stack``."""
-    return sector_stack([hermite_coeffs(m, L - m) for m in range(L + 1)], L)
+    """The grids of h_{m, L-m} for m = 0..L, stacked by ``sector_stack``;
+    built once per L (the last 13 kept, so every L <= 12) and read-only."""
+    out = sector_stack([hermite_coeffs(m, L - m) for m in range(L + 1)], L)
+    out.flags.writeable = False
+    return out
 
 
 def exp_contraction(c: np.ndarray) -> np.ndarray:

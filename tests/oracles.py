@@ -3,8 +3,9 @@
 Each oracle computes a quantity the library also computes, by a different
 route: the entrywise or 50-digit q-sum of a representation block (and the
 modulus sum that scales its rounding error), the degree recursion run in
-complex128 for every g, the q-sum of a diagonal element and the 40-digit
-log of a positive one, the hypergeometric form of a Jacobi polynomial, the
+complex128 for every g, the q-sum of a diagonal element, its 40-digit sum
+and the 40-digit log of a positive one, the hypergeometric form of a
+Jacobi polynomial and the generalized binomial it uses, the
 finite sum of a generalized Laguerre polynomial,
 the double-precision and 40-digit Laguerre closed forms of the
 displacement elements, the exact-rational and the entry-by-entry
@@ -36,7 +37,6 @@ from pblab.fock import cuntz_domain_dim, metric_operators
 from pblab.gl2 import GL2Matrix, dual, random_gl2, rep_full
 from pblab.hermite import hermite_coeffs, hermite_via_contraction, inner
 from pblab.quadrature import FACTORIALS, PlaneScheme, exact_gaussian_moment, polar_scheme
-from pblab.special import binomial_real
 
 
 def rep_block_loop(g, L):
@@ -131,6 +131,19 @@ def rep_diag_qsum(h: GL2Matrix, n1: int, n2: int) -> complex:
     return complex(acc)
 
 
+def rep_diag_mpmath(h: GL2Matrix, n1: int, n2: int, dps: int = 40) -> complex:
+    """Diagonal element at (n1, n2) by the sum over k of C(n1, k) C(n2, k)
+    h11^(n1-k) h22^(n2-k) (h12 h21)^k in dps-digit arithmetic, on the
+    double entries of h."""
+    with mpmath.workdps(dps):
+        h11, h12, h21, h22 = (mpmath.mpc(x) for x in (h.g11, h.g12, h.g21, h.g22))
+        total = mpmath.fsum(
+            math.comb(n1, k) * math.comb(n2, k) * h11 ** (n1 - k) * h22 ** (n2 - k) * (h12 * h21) ** k
+            for k in range(min(n1, n2) + 1)
+        )
+        return complex(total)
+
+
 def rep_diag_log_mpmath(h: GL2Matrix, n1: int, n2: int, dps: int = 40) -> float:
     """ln of the diagonal element of a positive Hermitian h at (n1, n2) by
     the symmetric expansion h11^n1 h22^n2 sum_m C(n1, m) C(n2, m) r^m in
@@ -163,6 +176,20 @@ def hyp2f1_terminating(n: int, b: float, c: float, x: float):
             )
         term = term * (-(n - k)) * (b + k) / (c_k * (k + 1)) * x
     return total
+
+
+def binomial_real(r, k: int):
+    """Generalized binomial coefficient C(r, k) = r(r-1)...(r-k+1)/k!.
+
+    Defined for real, complex, or Fraction r and integer k >= 0; exact when
+    r is a Fraction.
+    """
+    if k < 0:
+        raise ValueError(f"lower index must be non-negative, got {k}")
+    out = r - r + 1  # one, in the arithmetic of r
+    for i in range(k):
+        out = out * (r - i) / (i + 1)
+    return out
 
 
 def jacobi_hyp(n: int, alpha: float, beta: float, x):

@@ -96,6 +96,20 @@ class TestSubcommands:
         (row,) = json.loads(out)["results"]
         assert row["pass"] and row["deviation"] <= 1e-8
 
+    @pytest.mark.parametrize("spec", ["1,1,0,1", "1.2,0.3:0.1,0.2,0.9"])
+    def test_deformed_table_matches_per_index_norms(self, capsys, spec):
+        # the table takes one call per sector; each row must read the
+        # per-index value, up to the order of the positive terms' sum
+        code, out = run_cli(capsys, "deformed", "--g", spec, "--check", "table", "--l-max", "12")
+        assert code == 0
+        g = parse_gl2(spec)
+        rows = json.loads(out)["results"]
+        assert [(r["n1"], r["n2"]) for r in rows] == [(m, L - m) for L in range(13) for m in range(L + 1)]
+        for row in rows:
+            n1, n2 = row["n1"], row["n2"]
+            assert row["norm_sq"] == pytest.approx(deformed.norm_sq(g, n1, n2), rel=1e-14, abs=0)
+            assert row["dual_norm_sq"] == pytest.approx(deformed.dual_norm_sq(g, n1, n2), rel=1e-14, abs=0)
+
     def test_fock_all(self, capsys):
         code, out = run_cli(capsys, "fock", "--g", "1,1,0,1", "--l-max", "8")
         payload = json.loads(out)

@@ -29,7 +29,7 @@ from pblab.deformed import (
     norm_sq_inner,
     riesz_growth,
 )
-from pblab.gl2 import GL2Matrix, dual, random_gl2, rep_full
+from pblab.gl2 import GL2Matrix, dual, random_gl2, rep_block, rep_full
 from pblab.hermite import PolyCoeffs, hermite_coeffs, hermite_sector
 from pblab.quadrature import tensor_hermite_scheme
 
@@ -119,6 +119,19 @@ class TestSectorStacks:
                 a, b = deformed_coeffs(g, n1, L - n1).coeff, deformed_via_rep(g, n1, L - n1).coeff
                 assert np.array_equal(_bits(direct[n1][: a.shape[0], : a.shape[1]]), _bits(a))
                 assert np.array_equal(_bits(via_rep[n1][: b.shape[0], : b.shape[1]]), _bits(b))
+
+    @pytest.mark.parametrize("g", DEFORMATIONS, ids=range(5))
+    def test_cached_hermite_sector_leaves_via_rep_unchanged(self, g):
+        for L in (0, 4, 10, 12):
+            stack = hermite_sector(L)
+            assert hermite_sector(L) is stack and not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1
+            fresh = hermite_sector.__wrapped__(L)  # built anew, bypassing the cache
+            assert np.array_equal(_bits(stack), _bits(fresh))
+            for n1 in range(L + 1):
+                ref = PolyCoeffs(combine_sector(rep_block(g, L)[:, [n1]], fresh)[0]).coeff
+                assert np.array_equal(_bits(deformed_via_rep(g, n1, L - n1).coeff), _bits(ref))
 
     def test_criterion_2_matches_the_per_mode_loop(self):
         stacked = acceptance.criterion_02_construction_equivalence().deviation

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_jacobi
 
+from pblab.acceptance import SHEAR
 from pblab.gl2 import (
     MAX_DEGREE,
     GL2Matrix,
@@ -19,10 +21,12 @@ from pblab.gl2 import (
 
 from oracles import (
     hyp2f1_terminating,
+    jacobi_hyp,
     rep_block_loop,
     rep_block_mpmath,
     rep_blocks_complex128,
     rep_diag_log_mpmath,
+    rep_diag_mpmath,
     rep_diag_qsum,
 )
 
@@ -188,12 +192,83 @@ class TestRepDiag:
 
     def test_general_complex_h_cross_check(self):
         rng = np.random.default_rng(2)
+        pairs = [(0, 3), (2, 2), (4, 1), (5, 5)]
         for _ in range(10):
             h = random_gl2(rng)
-            for n1, n2 in [(0, 3), (2, 2), (4, 1), (5, 5)]:
-                a = rep_diag(h, n1, n2)
-                b = rep_diag_qsum(h, n1, n2)
+            for a, pair in zip(rep_diag(h, *np.array(pairs).T), pairs):
+                b = rep_diag_qsum(h, *pair)
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+
+    def test_against_40_digit_sum_on_criterion_4_matrices(self):
+        # g^dag g and its inverse of criterion 4's matrices, one call per sector
+        rng = np.random.default_rng(2)
+        matrices = [SHEAR, GL2Matrix.diagonal(2, 1)] + [random_gl2(rng) for _ in range(20)]
+        for g in matrices:
+            for h in (g.gram(), g.gram().inv()):
+                for L in (2, 7, 12, 30):
+                    n1 = np.arange(L + 1)
+                    for m, val in zip(n1.tolist(), rep_diag(h, n1, L - n1)):
+                        ref = rep_diag_mpmath(h, m, L - m)
+                        assert abs(val - ref) <= 4e-15 * abs(ref), (g, m, L)
+
+    def test_jacobi_form_on_positive_h(self):
+        # det^n1 h22^(n2-n1) P_n1^(0, n2-n1)(1 + 2 h12 h21 / det), n1 <= n2
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            h = random_gl2(rng).gram()
+            det, h22 = h.det.real, h.g22.real
+            x = 1 + 2 * abs(h.g12) ** 2 / det
+            for L in (1, 6, 15, 30):
+                n1 = np.arange(L // 2 + 1)
+                got = rep_diag(h, n1, L - n1)
+                for m, val in zip(n1.tolist(), got):
+                    beta = L - 2 * m
+                    ref = det**m * h22**beta * eval_jacobi(m, 0, beta, x)
+                    assert val == pytest.approx(ref, rel=1e-13)
+                    assert val == pytest.approx(det**m * h22**beta * jacobi_hyp(m, 0, beta, x), rel=1e-13)
+
+    def test_array_call_matches_scalar_calls(self):
+        # the calls may sum in another order; the modulus sum, the diagonal of
+        # the entrywise |h|, scales that rounding where the terms cancel
+        rng = np.random.default_rng(10)
+        for h in (random_gl2(rng), random_gl2(rng).gram(), GL2Matrix(1, 1, 0, 1)):
+            modulus = GL2Matrix.from_array(np.abs(h.as_array()))
+            n1 = np.arange(0, 41, 5)
+            got = rep_diag(h, n1[:, None], np.array([0, 3, 40]))
+            assert got.shape == (len(n1), 3) and got.dtype == complex
+            for i, a in enumerate(n1.tolist()):
+                for j, b in enumerate((0, 3, 40)):
+                    one = rep_diag(h, a, b)
+                    assert np.ndim(one) == 0 and isinstance(one, complex)
+                    assert abs(got[i, j] - one) <= 1e-14 * abs(rep_diag(modulus, a, b))
+
+    def test_negative_indices_rejected(self):
+        h = GL2Matrix(2, 1, 1, 1)
+        for n1, n2 in [(-1, 0), (0, -2), ([1, -1], 2)]:
+            with pytest.raises(ValueError):
+                rep_diag(h, n1, n2)
+
+    def test_powers_stay_in_range_where_the_value_does(self):
+        # h11^62 alone overflows; the value is 1, and a RuntimeWarning fails the test
+        h = GL2Matrix.diagonal(1e5, 1e-5)
+        assert rep_diag(h, 62, 62) == 1
+        assert rep_diag(h, [62, 63], [63, 62]) == pytest.approx([1e-5, 1e5], rel=1e-15)
+
+    def test_zero_diagonal_h_and_n1_above_n2(self):
+        swap = GL2Matrix(0, 1, 1, 0)
+        L = 9
+        n1 = np.arange(L + 1)
+        assert np.array_equal(rep_diag(swap, n1, L - n1), np.diagonal(rep_block(swap, L)))
+        assert rep_diag(swap, 3, 3) == 1 and rep_diag(swap, 4, 2) == 0
+        h = random_gl2(np.random.default_rng(11))
+        for L in (5, 12):
+            n1 = np.arange(L + 1)
+            block = np.diagonal(rep_block(h, L))
+            got = rep_diag(h, n1, L - n1)
+            assert np.all(np.abs(got - block) <= 1e-12 * np.abs(block))
+            for m in range(L // 2 + 1, L + 1):  # n1 > n2
+                ref = rep_diag_qsum(h, m, L - m)
+                assert abs(got[m] - ref) <= 1e-12 * abs(ref)
 
     def test_symmetric_hypergeometric_variant_agrees(self):
         # h11^n1 h22^n2 2F1(-n1, -n2; 1; r) with r = |h12|^2/(h11 h22) is the
