@@ -32,7 +32,6 @@ from .displacement import (
     weight_diagonal_table,
 )
 from .fock import (
-    ccr_deviation,
     commutator,
     cuntz_deviation,
     deformed_ccr_deviation,
@@ -51,14 +50,7 @@ from .hermite import (
     monomial_basis,
     sector_stack,
 )
-from .quantize import (
-    drift_weight,
-    isotropic_gaussian_weight,
-    mollified_lowering_diagonal,
-    oracle_deviation,
-    pseudo_canonical_defect,
-    unit_weight,
-)
+from .quantize import Weight, mollified_lowering_diagonal, oracle_deviation, pseudo_canonical_defect
 
 SHEAR = GL2Matrix(1, 1, 0, 1)
 
@@ -83,14 +75,9 @@ class CriterionResult:
 
 
 def _worst(*values: float) -> float:
-    """Largest of `values`, or NaN if any of them is NaN.
-
-    The builtin max drops a NaN that is not its first argument, so a NaN
-    deviation would read as a pass against `worst <= tol`.
-    """
-    if any(math.isnan(v) for v in values):
-        return math.nan
-    return max(values)
+    """Largest of `values`, or NaN if any of them is NaN (the builtin max
+    would drop a NaN that is not its first argument)."""
+    return float(np.max(values))
 
 
 def criterion_01_orthonormality() -> CriterionResult:
@@ -227,7 +214,8 @@ def criterion_07_operator_algebra() -> CriterionResult:
     tol = 1e-8
     L_max = 12
     B, Bd = ladder(L_max)
-    worst = _worst(commutator(B, Bd).safe_deviation(1.0), ccr_deviation(L_max), cuntz_deviation(L_max))
+    ccr = deformed_ccr_deviation(GL2Matrix.identity(), L_max)
+    worst = _worst(commutator(B, Bd).safe_deviation(1.0), ccr, cuntz_deviation(L_max))
 
     # T(g)^{-1} = T(g^{-1}) is exact, but the products T B T^{-1} cancel
     # down to about eps |T| |T^{-1}|, which grows like cond(g)^L; the random
@@ -318,7 +306,7 @@ def criterion_11_quantization() -> CriterionResult:
     L_max = 8
     pair = pseudo_pair(g, L_max)
     k = indexing.dim(4)
-    w = unit_weight()
+    w = Weight()
 
     exact = np.sqrt(np.arange(1, k))
     bias = np.abs(exact - mollified_lowering_diagonal(lam, k))
@@ -328,13 +316,7 @@ def criterion_11_quantization() -> CriterionResult:
     dev_zb = oracle_deviation(pair, "zbar", lam, w)
     oracle_dev = _worst(dev_z, dev_zb)
 
-    weights = [
-        w,
-        isotropic_gaussian_weight(-3.0),
-        isotropic_gaussian_weight(0.0),
-        isotropic_gaussian_weight(0.5),
-        drift_weight(0.3, 0.2 - 0.1j),
-    ]
+    weights = [w, Weight(s=-3.0), Weight(s=0.0), Weight(s=0.5), Weight(0.3, 0.2 - 0.1j)]
     comm_dev = _worst(*(pseudo_canonical_defect(ws, SHEAR, 12) for ws in weights))
 
     passed = predicted_bias <= tol and oracle_dev <= tol and comm_dev <= 1e-8

@@ -57,7 +57,6 @@ class LaplaceData:
     r: float
     nu: float
     xi_plus: float
-    A_at_xi: float
     App_at_xi: float
 
     def __post_init__(self):
@@ -67,21 +66,12 @@ class LaplaceData:
             raise ValueError("second derivative at the saddle must be negative")
 
 
-def _A(xi: float, r: float, nu: float) -> float:
-    return -(
-        2 * xi * math.log(xi)
-        - xi * math.log(nu * r)
-        + (1 - xi) * math.log1p(-xi)
-        + nu * (1 - xi / nu) * math.log1p(-xi / nu)
-    )
-
-
 def _A_prime(xi: float, r: float, nu: float) -> float:
     return math.log((1 - xi) * (1 - xi / nu)) - math.log(xi**2) + math.log(nu * r)
 
 
 def laplace_root(r: float, nu: float) -> LaplaceData:
-    """Positive root xi_+ of the saddle equation, with A(xi_+) and A''(xi_+).
+    """Positive root xi_+ of the saddle equation, with A''(xi_+).
 
     Stationarity |A'(xi_+)| <= 1e-9 is verified by direct evaluation.
     """
@@ -95,7 +85,7 @@ def laplace_root(r: float, nu: float) -> LaplaceData:
     if abs(resid) > 1e-9:
         raise ArithmeticError(f"saddle residual |A'(xi_+)| = {abs(resid):.2e} > 1e-9")
     app = -(2 - (1 + 1 / nu) * xi) / (xi * (1 - xi) * (1 - xi / nu))
-    return LaplaceData(r, nu, xi, _A(xi, r, nu), app)
+    return LaplaceData(r, nu, xi, app)
 
 
 def asympt_laplace(h: GL2Matrix, n1: int, nu: float) -> float:

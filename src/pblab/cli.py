@@ -31,16 +31,10 @@ from .displacement import (
     resolution_check,
     weight_diagonal_table,
 )
-from .fock import ccr_deviation, cuntz_deviation, deformed_ccr_deviation, ladder_deviation, metric_deviation, pseudo_commutator_deviation, pseudo_pair
+from .fock import cuntz_deviation, deformed_ccr_deviation, ladder_deviation, metric_deviation, pseudo_commutator_deviation, pseudo_pair
 from .gl2 import GL2Matrix, homomorphism_deviation, inverse_deviation, random_gl2, rep_block, rep_diag, rep_full, star_deviation
 from .hermite import hermite_coeffs, hermite_via_contraction
-from .quantize import (
-    drift_weight,
-    isotropic_gaussian_weight,
-    oracle_deviation,
-    pseudo_canonical_defect,
-    unit_weight,
-)
+from .quantize import Weight, oracle_deviation, pseudo_canonical_defect
 
 SCHEMA_VERSION = 1
 
@@ -262,7 +256,8 @@ def cmd_fock(args) -> int:
     results = []
     wanted = args.check
     if wanted in ("all", "ccr"):
-        results.append(_check_row("two-mode-ccr", ccr_deviation(L_max), args.tol))
+        ccr = deformed_ccr_deviation(GL2Matrix.identity(), L_max)
+        results.append(_check_row("two-mode-ccr", ccr, args.tol))
     if wanted in ("all", "deformed"):
         results.append(_check_row("deformed-ccr", deformed_ccr_deviation(g, L_max), args.tol))
     if wanted in ("all", "pseudo"):
@@ -292,18 +287,21 @@ def cmd_displace(args) -> int:
         dev = kernel_reproducing_check(z1, z2)
         results.append(_check_row("kernel-reproducing", dev, args.tol))
     if args.check in ("all", "resolution"):
-        dev = resolution_check(g, min(args.l_max, 14))
-        results.append(_check_row("resolution-of-identity", dev, max(args.tol, 1e-8)))
+        L = min(args.l_max, 14)
+        dev = resolution_check(g, L)
+        results.append(_check_row("resolution-of-identity", dev, max(args.tol, 1e-8), l_max=L))
     if args.check in ("all", "growth"):
-        _, r_env, ok = norm_growth_certificate(rep_full(g, min(args.l_max, 14)), g.gram())
-        results.append({"check": "norm-growth", "r": r_env, "alpha": 0.0, "pass": bool(ok)})
+        L = min(args.l_max, 14)
+        _, r_env, ok = norm_growth_certificate(rep_full(g, L), g.gram())
+        results.append({"check": "norm-growth", "r": r_env, "alpha": 0.0, "l_max": L, "pass": bool(ok)})
     if args.check in ("all", "bicoherent"):
-        state = bicoherent(z1, g, min(args.l_max, 20), args.eps)
+        L = min(args.l_max, 20)
+        state = bicoherent(z1, g, L, args.eps)
         dev = abs(state.overlap() - 1.0)
         results.append(
             _check_row(
                 "bicoherent-overlap", dev, 10 * args.eps,
-                n_cut=state.n_cut, tail_bound=state.tail_bound,
+                n_cut=state.n_cut, tail_bound=state.tail_bound, l_max=L,
             )
         )
     params = {
@@ -315,11 +313,11 @@ def cmd_displace(args) -> int:
 
 def _weight_from_args(args):
     if args.weight == "unit":
-        return unit_weight()
+        return Weight()
     if args.weight == "gauss-s":
-        return isotropic_gaussian_weight(args.s)
+        return Weight(s=args.s)
     if args.weight == "drift":
-        return drift_weight(parse_complex(args.alpha), parse_complex(args.beta), args.s)
+        return Weight(parse_complex(args.alpha), parse_complex(args.beta), args.s)
     raise ConfigError(f"unknown weight {args.weight!r}")
 
 

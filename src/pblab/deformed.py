@@ -90,11 +90,6 @@ def deformed_via_rep(g: GL2Matrix, n1: int, n2: int) -> PolyCoeffs:
     return PolyCoeffs(combine_sector(rep_block(g, L)[:, [n1]], hermite_sector(L))[0])
 
 
-def dual_coeffs(g: GL2Matrix, n1: int, n2: int) -> PolyCoeffs:
-    """Dual polynomial: the deformation by (dagger g)^(-1)."""
-    return deformed_coeffs(dual(g), n1, n2)
-
-
 def family_values(g: GL2Matrix, L_max: int, z) -> np.ndarray:
     """Values h^g_n(z) at the points z, one row per flat index n < dim(L_max).
 

@@ -320,16 +320,14 @@ def _weight_numeric_diagonal(s: float, n_max: int) -> np.ndarray:
     return terms.sum(axis=0)
 
 
-def norm_growth_check(norms, r: float, alpha: float) -> bool:
-    """True iff norms[n] <= r^n (n!)^alpha for every supplied n (log compare)."""
-    if not 0 <= alpha < 0.5:
-        raise ValueError(f"need 0 <= alpha < 1/2, got {alpha}")
+def norm_growth_check(norms, r: float) -> bool:
+    """True iff norms[n] <= r^n for every supplied n (log compare)."""
     if r <= 0:
         raise ValueError(f"need r > 0, got {r}")
     for n, v in enumerate(norms):
         if v <= 0:
             continue
-        if math.log(v) > n * math.log(r) + alpha * math.lgamma(n + 1) + 1e-12:
+        if math.log(v) > n * math.log(r) + 1e-12:
             return False
     return True
 
@@ -341,4 +339,4 @@ def norm_growth_certificate(T: SectorOperator, gram: GL2Matrix) -> tuple[np.ndar
     the dual family (T(g)^dag)^{-1} pass its inverse."""
     norms = np.concatenate([np.linalg.norm(b, axis=0) for b in T.blocks])
     r = math.sqrt((gram.g11 + gram.g22).real)
-    return norms, r, norm_growth_check(norms, r, 0.0)
+    return norms, r, norm_growth_check(norms, r)

@@ -1,6 +1,6 @@
-"""Truncated realizations of the ladder algebra: two-mode bosons, their
-deformations, the flat-index ladder pair, shift isometries, the deformed
-pseudo-bosonic pair, and metric operators.
+"""Truncated realizations of the ladder algebra: deformed two-mode bosons
+(the plain ones at g = I), the flat-index ladder pair, shift isometries, the
+deformed pseudo-bosonic pair, and metric operators.
 
 Everything lives on the flat-index truncation keeping sectors L <= L_max
 (dimension (L_max+1)(L_max+2)/2).  The lowering operators map sector L into
@@ -67,19 +67,14 @@ def _mode_lowering(c1: complex, c2: complex, L_max: int) -> SectorOperator:
     return SectorOperator(L_max, parts)
 
 
-def two_mode(L_max: int):
-    """Two-mode boson operators (a1, a1dag, a2, a2dag) on the flat basis."""
-    a1, a2 = _mode_lowering(1, 0, L_max), _mode_lowering(0, 1, L_max)
-    return a1, a1.dagger(), a2, a2.dagger()
-
-
 def deformed_two_mode(g: GL2Matrix, L_max: int):
     """Deformed annihilators/creators (A1, A2, A1dag, A2dag):
 
         A1 = conj(g11) a1 + conj(g21) a2,   A2 = conj(g12) a1 + conj(g22) a2,
 
     with their adjoints.  On the safe block [A_i, A_j^dag] = ((dagger g) g)_{ij} I
-    while [A1, A2] = 0 exactly.
+    while [A1, A2] = 0 exactly.  At g = I they are the two-mode bosons
+    (a1, a2, a1dag, a2dag).
     """
     A1 = _mode_lowering(np.conj(g.g11), np.conj(g.g21), L_max)
     A2 = _mode_lowering(np.conj(g.g12), np.conj(g.g22), L_max)
@@ -118,11 +113,6 @@ class PseudoPair:
         out = np.zeros(self.a_op.dim, dtype=complex)
         out[indexing.sector_range(L)] = values
         return out
-
-    def number_operator(self) -> SectorOperator:
-        """T(g) N T(g)^{-1} with N = Bdag B = diag(n); eigenvectors vec_phi(n)
-        with eigenvalue n."""
-        return self.T @ SectorOperator.diagonal(self.L_max, np.arange(self.a_op.dim)) @ self.T_inv
 
 
 def pseudo_pair(g: GL2Matrix, L_max: int) -> PseudoPair:
@@ -169,15 +159,10 @@ def _ccr_deviations(lowers, raisers, gram: np.ndarray) -> list[float]:
     ]
 
 
-def ccr_deviation(L_max: int) -> float:
-    """Max deviation of [a_i, a_j^dag] = delta_ij I on the safe block."""
-    a1, a1d, a2, a2d = two_mode(L_max)
-    return _max_abs(_ccr_deviations((a1, a2), (a1d, a2d), np.eye(2)))
-
-
 def deformed_ccr_deviation(g: GL2Matrix, L_max: int) -> float:
     """Max deviation of [A_i, A_j^dag] = ((dagger g) g)_ij I on the safe block
-    and of [A1, A2] = 0 on the whole truncation."""
+    and of [A1, A2] = 0 on the whole truncation; at g = I it is the two-mode
+    canonical commutation relation [a_i, a_j^dag] = delta_ij I."""
     A1, A2, A1d, A2d = deformed_two_mode(g, L_max)
     ccr = _ccr_deviations((A1, A2), (A1d, A2d), g.gram().as_array())
     return _max_abs([*ccr, *commutator(A1, A2).parts.values()])

@@ -61,13 +61,6 @@ def sector(n1: int, n2: int) -> SectorIndex:
     return SectorIndex(n1 + n2, n1)
 
 
-def mode_of_sector(L: int, m: int) -> ModeIndex:
-    """Two-mode label (m, L - m) of a sector position."""
-    if L < 0 or not 0 <= m <= L:
-        raise ValueError(f"need 0 <= m <= L, got (L, m) = ({L}, {m})")
-    return ModeIndex(m, L - m)
-
-
 def sector_range(L: int) -> range:
     """Flat indices of the degree-L sector, in ascending m order."""
     if L < 0:

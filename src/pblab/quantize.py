@@ -1,7 +1,12 @@
 """Integral quantization of plane functions against displaced weight operators.
 
-A weight function w(z) with w(0) = 1 turns a phase-space function f into an
-operator through
+Every weight here belongs to one family,
+
+    w(z) = exp(alpha z - beta conj(z) + s |z|^2 / 2),    s < 1,
+
+with w(0) = 1; s is the Cahill-Glauber ordering parameter (Phys. Rev. 177,
+1857, 1969), and alpha and -beta are the Wirtinger derivatives of w at the
+origin.  A weight turns a phase-space function f into an operator through
 
     A_f = int F[f](-z) D(z) w(z) d^2z / pi,
 
@@ -13,9 +18,9 @@ are
     A_z    = a - (d/dconj z) w |_0,      A_zbar = b + (d/dz) w |_0,
 
 with a the deformed lowering operator and b the raising operator of the
-dual pair, so [A_z, A_zbar] = I on the safe block for every admissible
-weight: the Poisson bracket {z, conj z} = 1 quantizes to the pseudo-bosonic
-commutator.
+dual pair, so A_z = a + beta and A_zbar = b + alpha, and [A_z, A_zbar] = I
+on the safe block for every weight of the family: the Poisson bracket
+{z, conj z} = 1 quantizes to the pseudo-bosonic commutator.
 
 The numeric oracle replaces the delta-derivative transform by the closed
 form for the Gaussian-damped functions (derived analytically, no numeric
@@ -32,7 +37,6 @@ uniform over the truncation.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -44,47 +48,29 @@ from .quadrature import polar_scheme
 
 
 @dataclass(frozen=True)
-class WeightSpec:
-    """Weight function with its Wirtinger derivatives at the origin."""
+class Weight:
+    """w(z) = exp(alpha z - beta conj(z) + s |z|^2 / 2); the weight operator
+    is bounded only for s < 1."""
 
-    eval: Callable[[complex], complex]
-    dz_at_0: complex
-    dzbar_at_0: complex
+    alpha: complex = 0
+    beta: complex = 0
+    s: float = 0
 
     def __post_init__(self):
-        w0 = complex(self.eval(0j))
-        if abs(w0 - 1.0) > 1e-12:
-            raise ValueError(f"weight must satisfy w(0) = 1, got {w0}")
+        if self.s >= 1:
+            raise ValueError(f"need s < 1 for an integrable family, got {self.s}")
+
+    def __call__(self, z):
+        # the real factor is its own exp, so a weight without drift reads
+        # e^{s |z|^2 / 2} bit for bit
+        return np.exp(self.s * np.abs(z) ** 2 / 2) * np.exp(self.alpha * z - self.beta * np.conj(z))
 
 
-def unit_weight() -> WeightSpec:
-    return WeightSpec(lambda z: np.ones_like(np.asarray(z, dtype=complex)), 0.0, 0.0)
-
-
-def isotropic_gaussian_weight(s: float) -> WeightSpec:
-    """w_s(z) = e^{s |z|^2 / 2}; bounded weight operator needs s < 1."""
-    if s >= 1:
-        raise ValueError(f"need s < 1 for an integrable family, got {s}")
-    return WeightSpec(lambda z: np.exp(s * np.abs(z) ** 2 / 2), 0.0, 0.0)
-
-
-def drift_weight(alpha: complex, beta: complex, s: float = 0.0) -> WeightSpec:
-    """w(z) = exp(alpha z - beta conj(z) + s |z|^2/2); first derivatives at the
-    origin are alpha and -beta, so the linear quantizations pick up constants."""
-    if s >= 1:
-        raise ValueError(f"need s < 1, got {s}")
-    return WeightSpec(
-        lambda z: np.exp(alpha * z - beta * np.conj(z) + s * np.abs(z) ** 2 / 2),
-        alpha,
-        -beta,
-    )
-
-
-def quantize_linear(w: WeightSpec, g: GL2Matrix, L_max: int):
+def quantize_linear(w: Weight, g: GL2Matrix, L_max: int):
     """Closed-form quantizations of z and conj(z): (A_z, A_zbar)."""
     pair = pseudo_pair(g, L_max)
     shift = lambda c: SectorOperator.diagonal(L_max, complex(c))
-    return pair.a_op - shift(w.dzbar_at_0), pair.b_op - shift(-w.dz_at_0)
+    return pair.a_op - shift(-w.beta), pair.b_op - shift(-w.alpha)
 
 
 def _sft_factor(kind: str, lam: float):
@@ -103,7 +89,7 @@ def _sft_factor(kind: str, lam: float):
 def quantize_regularized_oracle(
     kind: str,
     lam: float,
-    w: WeightSpec,
+    w: Weight,
     g: GL2Matrix,
     L_max: int,
 ) -> np.ndarray:
@@ -117,7 +103,7 @@ def quantize_regularized_oracle(
 
     nodes = scheme.nodes.reshape(nr, ntheta)
     weights = scheme.weights.reshape(nr, ntheta)
-    scalars = weights * np.asarray(sft(nodes) * w.eval(nodes), dtype=complex)
+    scalars = weights * (sft(nodes) * w(nodes))
     t_vals = np.abs(nodes[:, 0]) ** 2
     theta = np.angle(nodes[0, :])
     table = displacement_radial(t_vals, d)
@@ -132,7 +118,7 @@ def quantize_regularized_oracle(
     return T.apply(T_inv.apply_right(acc))
 
 
-def oracle_deviation(pair: PseudoPair, kind: str, lam: float, w: WeightSpec) -> float:
+def oracle_deviation(pair: PseudoPair, kind: str, lam: float, w: Weight) -> float:
     """Max deviation of the lam-regularized oracle for kind "z" ("zbar") from
     the unregularized pair.a_op (pair.b_op) on sectors <= 4, relative to
     the block maximum of the latter."""
@@ -160,7 +146,7 @@ def mollified_lowering_diagonal(lam: float, dim: int) -> np.ndarray:
     return np.sqrt(n) * (1 + lam / 2) ** (-2.0) * (1 - nu_inv) ** (n - 1)
 
 
-def pseudo_canonical_defect(w: WeightSpec, g: GL2Matrix, L_max: int) -> float:
+def pseudo_canonical_defect(w: Weight, g: GL2Matrix, L_max: int) -> float:
     """Max deviation of [A_z, A_zbar] - I on the safe block."""
     a_z, a_zbar = quantize_linear(w, g, L_max)
     return commutator(a_z, a_zbar).safe_deviation(1.0)

@@ -18,7 +18,9 @@ of the displacement composition and covariance, of the metric pair and of
 the two-mode, deformed and pseudo-bosonic commutators, the resolution of
 the identity on the whole truncation, and, from coefficient grids and
 exact moments, the biorthogonality Gram, the orthonormality Gram and the
-norm identity.  Nothing in the library calls them.
+norm identity.  It also holds the helpers only the tests use: the dual
+polynomial one index at a time, the two-mode label of a sector position and
+the pseudo-bosonic number operator.  Nothing in the library calls them.
 """
 
 import math
@@ -34,8 +36,8 @@ from pblab import fock, indexing
 from pblab.deformed import deformed_coeffs, deformed_via_rep, norm_sq, norm_sq_inner
 from pblab.displacement import canonical_displacement, coherent_coefficients, weight_diagonal_table, wedge
 from pblab.fock import cuntz_domain_dim, metric_operators
-from pblab.gl2 import GL2Matrix, dual, random_gl2, rep_full
-from pblab.hermite import hermite_coeffs, hermite_via_contraction, inner
+from pblab.gl2 import GL2Matrix, SectorOperator, dual, random_gl2, rep_full
+from pblab.hermite import PolyCoeffs, hermite_coeffs, hermite_via_contraction, inner
 from pblab.quadrature import FACTORIALS, PlaneScheme, exact_gaussian_moment, polar_scheme
 
 
@@ -329,6 +331,24 @@ def stirling_r1_log(h11: float, h22: float, n1: int, n2: int) -> float:
 def binomial_diag_log(h11: float, h22: float, n1: int, n2: int) -> float:
     """ln of the exact r = 1 diagonal h11^{n1} h22^{n2} C(n1+n2, n1)."""
     return n1 * math.log(h11) + n2 * math.log(h22) + math.log(math.comb(n1 + n2, n1))
+
+
+def dual_coeffs(g: GL2Matrix, n1: int, n2: int) -> PolyCoeffs:
+    """Dual polynomial: the deformation by (dagger g)^(-1)."""
+    return deformed_coeffs(dual(g), n1, n2)
+
+
+def mode_of_sector(L: int, m: int) -> indexing.ModeIndex:
+    """Two-mode label (m, L - m) of a sector position."""
+    if L < 0 or not 0 <= m <= L:
+        raise ValueError(f"need 0 <= m <= L, got (L, m) = ({L}, {m})")
+    return indexing.ModeIndex(m, L - m)
+
+
+def number_operator(pair) -> SectorOperator:
+    """T(g) N T(g)^{-1} of a pseudo-bosonic pair, with N = Bdag B = diag(n);
+    eigenvectors pair.vec_phi(n) with eigenvalue n."""
+    return pair.T @ SectorOperator.diagonal(pair.L_max, np.arange(pair.a_op.dim)) @ pair.T_inv
 
 
 @dataclass(frozen=True)

@@ -82,9 +82,9 @@ class TestLaplaceRoot:
             with pytest.raises(ValueError):
                 laplace_root(bad_r, bad_nu)
         with pytest.raises(ValueError):
-            LaplaceData(0.5, 2.0, 1.5, 0.0, -1.0)
+            LaplaceData(0.5, 2.0, 1.5, -1.0)
         with pytest.raises(ValueError):
-            LaplaceData(0.5, 2.0, 0.5, 0.0, 1.0)
+            LaplaceData(0.5, 2.0, 0.5, 1.0)
 
 
 class TestLaplaceEstimate:

@@ -123,6 +123,12 @@ class TestSubcommands:
         )
         assert code == 0
 
+    def test_displace_rows_report_the_sizes_they_ran_at(self, capsys):
+        code, out = run_cli(capsys, "displace", "--l-max", "30", "--check", "all")
+        assert code == 0
+        sizes = {row["check"]: row.get("l_max") for row in json.loads(out)["results"]}
+        assert [sizes[c] for c in ("resolution-of-identity", "norm-growth", "bicoherent-overlap")] == [14, 14, 20]
+
     def test_csv_format(self, capsys):
         code, out = run_cli(
             capsys, "asympt", "--r", "0.5", "--n1", "200", "--d", "0", "--format", "csv"

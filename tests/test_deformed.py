@@ -7,6 +7,7 @@ from oracles import (
     DeformedFamily,
     biorth_gram_moments,
     construction_equivalence_per_mode,
+    dual_coeffs,
     exp_contraction_loop,
     expanded_monomial_loop,
     norm_identity_deviation_moments,
@@ -19,7 +20,6 @@ from pblab.deformed import (
     deformed_coeffs,
     deformed_sector,
     deformed_via_rep,
-    dual_coeffs,
     dual_norm_sq,
     family_values,
     norm_bound_violation,

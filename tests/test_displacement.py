@@ -382,7 +382,7 @@ class TestWeightOperator:
 
 class TestNormGrowth:
     def test_canonical_family(self):
-        assert norm_growth_check(np.ones(101), 1.0, 0.0)
+        assert norm_growth_check(np.ones(101), 1.0)
 
     def test_shear_family_with_trace_envelope(self):
         # flat index n sits in sector L ~ sqrt(2n), so norms grow like
@@ -390,7 +390,7 @@ class TestNormGrowth:
         # plenty of slack up to n = 104 (L_max = 13)
         Td = rep_full(SHEAR, 13).mat
         norms = np.linalg.norm(Td, axis=0)
-        assert norm_growth_check(norms, math.sqrt(3.0), 0.0)
+        assert norm_growth_check(norms, math.sqrt(3.0))
 
     def test_certificate_reads_column_norms_from_blocks(self):
         g = random_gl2(np.random.default_rng(13))
@@ -399,18 +399,16 @@ class TestNormGrowth:
             norms, r, ok = norm_growth_certificate(op, gram)
             assert np.allclose(norms, np.linalg.norm(op.mat, axis=0), rtol=1e-15, atol=0)
             assert r == pytest.approx(math.sqrt((gram.g11 + gram.g22).real), rel=1e-15)
-            assert ok == norm_growth_check(norms, r, 0.0)
+            assert ok == norm_growth_check(norms, r)
 
     def test_violation_detected(self):
         norms = np.ones(10)
         norms[7] = 3.0
-        assert not norm_growth_check(norms, 1.0, 0.0)
+        assert not norm_growth_check(norms, 1.0)
 
-    def test_alpha_range_guard(self):
+    def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
-            norm_growth_check([1.0], 1.0, 0.5)
-        with pytest.raises(ValueError):
-            norm_growth_check([1.0], 0.0, 0.1)
+            norm_growth_check([1.0], 0.0)
 
 
 def test_coherent_coefficients_normalized():

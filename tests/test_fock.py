@@ -15,14 +15,13 @@ from pblab.fock import (
     metric_operators,
     pseudo_pair,
     safe_part,
-    two_mode,
 )
 from pblab.gl2 import GL2Matrix, random_gl2, rep_block, rep_diag, rep_full
 from pblab.hermite import hermite_coeffs, inner
 from pblab.deformed import deformed_coeffs
 from pblab.displacement import coherent_coefficients, resolution_check
 from pblab.quadrature import polar_scheme
-from pblab.quantize import quantize_regularized_oracle, unit_weight
+from pblab.quantize import Weight, quantize_regularized_oracle
 
 from oracles import (
     ccr_deviation_dense,
@@ -30,6 +29,7 @@ from oracles import (
     cuntz_isometry,
     deformed_ccr_deviation_dense,
     metric_deviation_dense,
+    number_operator,
     pseudo_commutator_deviation_dense,
     qsum_magnitude,
     rep_block_mpmath,
@@ -37,6 +37,7 @@ from oracles import (
 )
 
 SHEAR = GL2Matrix(1, 1, 0, 1)
+IDENT = GL2Matrix.identity()
 L12 = 12
 
 
@@ -71,24 +72,24 @@ class TestLadder:
 
 class TestTwoMode:
     def test_vacuum(self):
-        a1, _, a2, _ = two_mode(L12)
+        a1, a2, _, _ = deformed_two_mode(IDENT, L12)
         assert np.max(np.abs(a1.mat[:, 0])) == 0.0
         assert np.max(np.abs(a2.mat[:, 0])) == 0.0
 
     def test_number_operator_counts_degree(self):
-        a1, a1d, a2, a2d = two_mode(L12)
+        a1, a2, a1d, a2d = deformed_two_mode(IDENT, L12)
         num = a1d.mat @ a1.mat + a2d.mat @ a2.mat
         degrees = np.array([sum(indexing.unflatten(n)) for n in range(a1.dim)])
         assert np.max(np.abs(np.diag(num).real - degrees)) <= 1e-13
         assert np.max(np.abs(num - np.diag(np.diag(num)))) == 0.0
 
     def test_raising_entry(self):
-        _, a1d, _, _ = two_mode(L12)
+        _, _, a1d, _ = deformed_two_mode(IDENT, L12)
         entry = a1d.mat[indexing.flatten(2, 1), indexing.flatten(1, 1)]
         assert entry == pytest.approx(math.sqrt(2))
 
     def test_ccr_on_safe_block(self):
-        a1, a1d, a2, a2d = two_mode(L12)
+        a1, a2, a1d, a2d = deformed_two_mode(IDENT, L12)
         ops = [(0, a1, a1d), (1, a2, a2d)]
         for i, ai, _ in ops:
             for j, _, ajd in ops:
@@ -97,7 +98,7 @@ class TestTwoMode:
                 assert np.max(np.abs(c - expect)) <= 1e-13
 
     def test_annihilators_commute_exactly(self):
-        a1, _, a2, _ = two_mode(L12)
+        a1, a2, _, _ = deformed_two_mode(IDENT, L12)
         assert np.max(np.abs(commutator(a1.mat, a2.mat))) == 0.0
 
 
@@ -195,7 +196,7 @@ class TestPseudoPair:
         assert np.max(np.abs(gram - np.eye(15))) <= 1e-10
 
     def test_number_operator_eigenrelations(self, shear_pair):
-        N = shear_pair.number_operator()
+        N = number_operator(shear_pair)
         for n in range(shear_pair.a_op.safe_dim):
             resid = N.mat @ shear_pair.vec_phi(n) - n * shear_pair.vec_phi(n)
             assert np.max(np.abs(resid)) <= 1e-8
@@ -247,7 +248,7 @@ class TestBlockwiseConjugation:
         number = np.diag(np.arange(indexing.dim(L_max), dtype=float))
         for g in CONJUGATION_MATRICES:
             pair = pseudo_pair(g, L_max)
-            for got, x in ((pair.a_op, lower.mat), (pair.b_op, raiser.mat), (pair.number_operator(), number)):
+            for got, x in ((pair.a_op, lower.mat), (pair.b_op, raiser.mat), (number_operator(pair), number)):
                 assert rel_dev(got.mat, dense_conjugation(g, L_max, x)) <= 1e-12
 
     def test_resolution_check(self):
@@ -264,7 +265,7 @@ class TestBlockwiseConjugation:
 
     def test_quantize_oracle(self):
         # at g = I the oracle is the unconjugated quadrature sum
-        L_max, lam, w = 6, 0.01, unit_weight()
+        L_max, lam, w = 6, 0.01, Weight()
         flat = quantize_regularized_oracle("z", lam, w, GL2Matrix.identity(), L_max)
         for g in CONJUGATION_MATRICES:
             got = quantize_regularized_oracle("z", lam, w, g, L_max)
@@ -277,7 +278,7 @@ class TestCommutatorsAgainstDenseProducts:
     @pytest.mark.parametrize("L_max", range(1, 13))
     def test_small_truncations(self, L_max):
         close = lambda ref: pytest.approx(ref, rel=1e-12, abs=5e-14)
-        assert fock.ccr_deviation(L_max) == close(ccr_deviation_dense(L_max))
+        assert fock.deformed_ccr_deviation(IDENT, L_max) == close(ccr_deviation_dense(L_max))
         for g in CONJUGATION_MATRICES:
             assert fock.deformed_ccr_deviation(g, L_max) == close(deformed_ccr_deviation_dense(g, L_max))
             pair = pseudo_pair(g, L_max)
@@ -285,7 +286,7 @@ class TestCommutatorsAgainstDenseProducts:
 
     @pytest.mark.parametrize("L_max", [1, 2, 7])
     def test_ladder_blocks_equal_entrywise_construction(self, L_max):
-        a1, _, a2, _ = two_mode(L_max)
+        a1, a2, _, _ = deformed_two_mode(IDENT, L_max)
         assert all(np.array_equal(x.mat, y) for x, y in zip((a1, a2), two_mode_dense(L_max)))
         lower, raiser = ladder(L_max)
         flat = np.diag(np.sqrt(np.arange(1, indexing.dim(L_max))), k=1)
@@ -293,7 +294,7 @@ class TestCommutatorsAgainstDenseProducts:
 
     def test_two_mode_checks_at_L100(self):
         # dim 5151: one dense d x d matrix would take 424 MB
-        assert fock.ccr_deviation(100) <= 1e-13
+        assert fock.deformed_ccr_deviation(IDENT, 100) <= 1e-13
         assert fock.deformed_ccr_deviation(GL2Matrix(1.1, 0.2, 0.1, 0.9), 100) <= 1e-12
 
 
@@ -319,7 +320,7 @@ class TestRealRoute:
     @pytest.mark.parametrize("g", [SHEAR, GL2Matrix(0.6, 0.8, -0.8, 0.6), GL2Matrix(1.1, 0.2, 0.1, 0.9)])
     def test_pair_and_metric_of_a_real_g_are_real(self, g):
         pair = pseudo_pair(g, 8)
-        ops = (pair.a_op, pair.b_op, pair.T, pair.T_inv, pair.number_operator(), *metric_operators(g, 8))
+        ops = (pair.a_op, pair.b_op, pair.T, pair.T_inv, number_operator(pair), *metric_operators(g, 8))
         assert all(b.dtype == np.float64 for op in ops for b in op.parts.values())
         assert pair.a_op.mat.dtype == np.float64
 
@@ -381,7 +382,7 @@ class TestCuntz:
         assert np.array_equal(total, np.eye(d))
 
     def test_conjugation_collapses_modes(self):
-        a1, _, a2, _ = two_mode(L12)
+        a1, a2, _, _ = deformed_two_mode(IDENT, L12)
         B, _ = ladder(L12)
         for n in (0, 1, 3):
             S = cuntz_isometry(n, L12)

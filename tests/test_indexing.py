@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import mode_of_sector
 from pblab.indexing import (
     ModeIndex,
     SectorIndex,
     dim,
     flatten,
-    mode_of_sector,
     safe_dim,
     sector,
     sector_range,
