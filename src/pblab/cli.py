@@ -5,6 +5,10 @@ Matrices are passed row-major as comma-separated entries, each entry either
 a bare real (``1,1,0,1``) or a ``re:im`` pair (``1:0,1:2,0:0,1:0``);
 standalone complex scalars also accept ``1+2j``/``1+2i``.  A plain
 ``key = value`` config file can seed any option of the chosen subcommand.
+``quantize --alpha A --beta B --s S`` names the weight
+``quantize.Weight(A, B, S)`` that every one of its checks reads.
+Each subcommand returns its parameters and result rows, and ``main``
+writes the report, which passes iff every row passes.
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid configuration.
 """
 
@@ -29,12 +33,11 @@ from .displacement import (
     kernel_reproducing_check,
     norm_growth_certificate,
     resolution_check,
-    weight_diagonal_table,
 )
 from .fock import cuntz_deviation, deformed_ccr_deviation, ladder_deviation, metric_deviation, pseudo_commutator_deviation, pseudo_pair
 from .gl2 import GL2Matrix, homomorphism_deviation, inverse_deviation, random_gl2, rep_block, rep_diag, rep_full, star_deviation
 from .hermite import hermite_coeffs, hermite_via_contraction
-from .quantize import Weight, oracle_deviation, pseudo_canonical_defect
+from .quantize import Weight, oracle_deviation, pseudo_canonical_defect, weight_diagonal_table
 
 SCHEMA_VERSION = 1
 
@@ -88,13 +91,15 @@ def _to_csv(results: list[dict]) -> str:
     return buf.getvalue()
 
 
-def emit_report(args, command: str, params: dict, results: list[dict], passed: bool) -> int:
+def emit_report(args, params: dict, results: list[dict]) -> int:
+    """Write the report of ``args.command``; it passes iff every row does."""
+    passed = all(row["pass"] for row in results)
     if args.format == "csv":
         text = _to_csv(results)
     else:
         payload = {
             "schema": SCHEMA_VERSION,
-            "command": command,
+            "command": args.command,
             "params": params,
             "results": results,
             "passed": passed,
@@ -120,7 +125,7 @@ def _check_row(name: str, deviation: float, tolerance: float, **extra) -> dict:
 
 # -- subcommand implementations ----------------------------------------------
 
-def cmd_hermite(args) -> int:
+def cmd_hermite(args) -> tuple[dict, list[dict]]:
     results = []
     params = {"check": args.check}
     if args.eval is not None:
@@ -128,7 +133,7 @@ def cmd_hermite(args) -> int:
         val = hermite_coeffs(args.n1, args.n2)(z)
         params.update({"n1": args.n1, "n2": args.n2, "z": str(z)})
         results.append({"check": "eval", "re": val.real, "im": val.imag, "pass": True})
-        return emit_report(args, "hermite", params, results, True)
+        return params, results
     if args.max_degree < 0:
         raise ConfigError(f"need --max-degree >= 0, got {args.max_degree}")
     params["max_degree"] = args.max_degree
@@ -144,10 +149,10 @@ def cmd_hermite(args) -> int:
         results.append(_check_row("construction-equivalence", worst, args.tol))
     else:
         raise ConfigError("hermite needs --eval or --check {orthonormality,equivalence}")
-    return emit_report(args, "hermite", params, results, all(r["pass"] for r in results))
+    return params, results
 
 
-def cmd_rep(args) -> int:
+def cmd_rep(args) -> tuple[dict, list[dict]]:
     g = parse_gl2(args.g)
     rng = np.random.default_rng(args.seed)
     results = []
@@ -177,10 +182,10 @@ def cmd_rep(args) -> int:
         diag = rep_diag(g, n1, args.L - n1)
         worst = np.max(np.abs(diag - np.diagonal(block)) / np.maximum(1.0, np.abs(diag)))
         results.append(_check_row("diag-vs-block", worst, args.tol))
-    return emit_report(args, "rep", params, results, all(r["pass"] for r in results))
+    return params, results
 
 
-def cmd_deformed(args) -> int:
+def cmd_deformed(args) -> tuple[dict, list[dict]]:
     g = parse_gl2(args.g)
     results = []
     params = {"g": args.g, "l_max": args.l_max, "check": args.check}
@@ -212,10 +217,10 @@ def cmd_deformed(args) -> int:
                 if not all(math.isfinite(v) for v in row.values()):
                     raise ValueError(f"norms at n1 + n2 = {L} leave double range; lower --l-max")
                 results.append(row)
-    return emit_report(args, "deformed", params, results, all(r.get("pass", True) for r in results))
+    return params, results
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[dict, list[dict]]:
     g = parse_gl2(args.g)
     l_list = [int(x) for x in args.l_list.split(",")]
     rows = riesz_growth(g, l_list)
@@ -227,10 +232,10 @@ def cmd_bounds(args) -> int:
             out["growth_ratio"] = ""
         results.append(out)
     params = {"g": args.g, "l_list": args.l_list}
-    return emit_report(args, "bounds", params, results, all(r["pass"] for r in results))
+    return params, results
 
 
-def cmd_asympt(args) -> int:
+def cmd_asympt(args) -> tuple[dict, list[dict]]:
     if args.h:
         h = parse_gl2(args.h)
     else:
@@ -247,10 +252,10 @@ def cmd_asympt(args) -> int:
         row["pass"] = bool(row["log_error_per_degree"] <= args.tol)
         results.append(row)
     params = {"h": args.h or f"r={args.r}", "d": args.d, "nu": args.nu, "tol": args.tol}
-    return emit_report(args, "asympt", params, results, all(r["pass"] for r in results))
+    return params, results
 
 
-def cmd_fock(args) -> int:
+def cmd_fock(args) -> tuple[dict, list[dict]]:
     g = parse_gl2(args.g)
     L_max = args.l_max
     results = []
@@ -269,10 +274,10 @@ def cmd_fock(args) -> int:
     if wanted in ("all", "metric"):
         results.append(_check_row("metric-inverse-pair", metric_deviation(g, L_max), args.tol))
     params = {"g": args.g, "l_max": L_max, "check": wanted, "tol": args.tol}
-    return emit_report(args, "fock", params, results, all(r["pass"] for r in results))
+    return params, results
 
 
-def cmd_displace(args) -> int:
+def cmd_displace(args) -> tuple[dict, list[dict]]:
     g = parse_gl2(args.g)
     z1 = parse_complex(args.z1)
     z2 = parse_complex(args.z2)
@@ -308,38 +313,25 @@ def cmd_displace(args) -> int:
         "g": args.g, "z1": args.z1, "z2": args.z2, "l_max": args.l_max,
         "check_l": args.check_l, "check": args.check, "tol": args.tol,
     }
-    return emit_report(args, "displace", params, results, all(r["pass"] for r in results))
+    return params, results
 
 
-def _weight_from_args(args):
-    if args.weight == "unit":
-        return Weight()
-    if args.weight == "gauss-s":
-        return Weight(s=args.s)
-    if args.weight == "drift":
-        return Weight(parse_complex(args.alpha), parse_complex(args.beta), args.s)
-    raise ConfigError(f"unknown weight {args.weight!r}")
-
-
-def cmd_quantize(args) -> int:
+def cmd_quantize(args) -> tuple[dict, list[dict]]:
+    w = Weight(parse_complex(args.alpha), parse_complex(args.beta), args.s)
     results = []
-    params = {"weight": args.weight, "s": args.s, "check": args.check}
+    params = {"alpha": args.alpha, "beta": args.beta, "s": args.s, "check": args.check}
     if args.check == "table":
-        if args.s >= 1:
-            raise ConfigError("isotropic family needs s < 1")
-        for row in weight_diagonal_table(args.s, args.n_max):
+        for row in weight_diagonal_table(w, args.n_max):
             row["pass"] = bool(row.pop("rel_err") <= args.tol)
             results.append(row)
         params["n_max"] = args.n_max
     elif args.check == "pseudo-canonical":
-        g = parse_gl2(args.g)
-        w = _weight_from_args(args)
-        dev = pseudo_canonical_defect(w, g, args.l_max)
+        dev = pseudo_canonical_defect(w, parse_gl2(args.g), args.l_max)
         results.append(_check_row("pseudo-canonical-commutator", dev, args.tol))
         params.update({"g": args.g, "l_max": args.l_max})
     elif args.check == "oracle":
         pair = pseudo_pair(parse_gl2(args.g), args.l_max)
-        dev = oracle_deviation(pair, "z", args.regularizer, _weight_from_args(args))
+        dev = oracle_deviation(pair, "z", args.regularizer, w)
         results.append(
             _check_row(
                 "oracle-vs-lowering", dev, args.tol,
@@ -347,15 +339,13 @@ def cmd_quantize(args) -> int:
             )
         )
         params.update({"g": args.g, "l_max": args.l_max, "regularizer": str(args.regularizer)})
-    return emit_report(args, "quantize", params, results, all(r["pass"] for r in results))
+    return params, results
 
 
-def cmd_suite(args) -> int:
+def cmd_suite(args) -> tuple[dict, list[dict]]:
     results = []
-    all_pass = True
     for res in acceptance.run_all():
         print(res.line(), file=sys.stderr)
-        all_pass = all_pass and res.passed
         row = {
             "check": res.name,
             "criterion": res.number,
@@ -367,7 +357,7 @@ def cmd_suite(args) -> int:
         if args.format == "json":  # a CSV row has no room for a nested dict
             row["details"] = res.details
         results.append(row)
-    return emit_report(args, "suite", {}, results, all_pass)
+    return {}, results
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -451,10 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_displace)
 
     p = sub.add_parser("quantize", help="weight-operator tables and quantization checks")
-    p.add_argument("--weight", choices=("unit", "gauss-s", "drift"), default="gauss-s")
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--alpha", default="0")
-    p.add_argument("--beta", default="0")
+    # the fields of one weight exp(alpha z - beta conj z + s |z|^2 / 2)
+    p.add_argument("--s", type=float, default=0.0, help="Gaussian exponent, s < 1")
+    p.add_argument("--alpha", default="0", help="drift coefficient of z")
+    p.add_argument("--beta", default="0", help="drift coefficient of -conj(z)")
     p.add_argument("--g", default="1,1,0,1")
     p.add_argument("--l-max", type=int, default=8)
     p.add_argument("--n-max", type=int, default=10)
@@ -523,7 +513,7 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        return emit_report(args, *args.func(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

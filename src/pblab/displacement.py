@@ -1,4 +1,4 @@
-"""Displacement operators, bi-coherent states, and weight-operator checks.
+"""Displacement operators and bi-coherent states.
 
 The canonical displacement matrix elements in the flat basis are the
 Cahill-Glauber Laguerre functions (Phys. Rev. 177, 1857, 1969): with
@@ -268,56 +268,6 @@ def resolution_check(g: GL2Matrix, L_max: int, scheme: PlaneScheme | None = None
 def radial_tail(n: int, R: float) -> float:
     """Mass of the n-th radial moment beyond |z| = R: Q(n+1, R^2)."""
     return float(gammaincc(n + 1, R * R))
-
-
-def weight_operator_diag(s: float, n: int) -> float:
-    """Closed-form diagonal of the isotropic weight operator:
-    2/(1-s) ((s+1)/(s-1))^n for s < 1; reduces to 2 (-1)^n at s = 0 and to
-    the n = 0 projector at s = -1."""
-    if s >= 1:
-        raise ValueError(f"integral diverges for s >= 1, got s = {s}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    ratio = (s + 1) / (s - 1)
-    return 2 / (1 - s) * ratio**n
-
-
-def weight_diagonal_table(s: float, n_max: int) -> list[dict]:
-    """Closed form against quadrature of the weight-operator diagonal for
-    n = 0..n_max: per n the closed value, the numeric value, the absolute
-    error and the error relative to max(1, |closed|)."""
-    if n_max < 0:
-        raise ValueError(f"need n_max >= 0, got {n_max}")
-    rows = []
-    for n, numeric in enumerate(_weight_numeric_diagonal(s, n_max).tolist()):
-        closed = weight_operator_diag(s, n)
-        abs_err = abs(numeric - closed)
-        rows.append(
-            {
-                "n": n,
-                "closed_form": closed,
-                "numeric": numeric,
-                "abs_err": abs_err,
-                "rel_err": abs_err / max(1.0, abs(closed)),
-            }
-        )
-    return rows
-
-
-def _weight_numeric_diagonal(s: float, n_max: int) -> np.ndarray:
-    """The weight-operator diagonal for n = 0..n_max by one radial quadrature
-    of e^{s|z|^2/2} D[n, n](z); the integrand has no angular dependence."""
-    if s >= 1:
-        raise ValueError(f"integral diverges for s >= 1, got s = {s}")
-    scheme = polar_scheme(64, 1, radial_scale=(1 - s) / 2)
-    t = np.abs(scheme.nodes) ** 2
-    diag = np.diagonal(displacement_radial(t, n_max + 1), axis1=1, axis2=2)
-    # far out e^{s t/2} overflows where D[n, n] underflows to 0; there the
-    # product, kept in the log domain, is 0 too
-    with np.errstate(divide="ignore"):
-        log_weight = np.log(scheme.weights) + s * t / 2
-        terms = np.sign(diag) * np.exp(np.log(np.abs(diag)) + log_weight[:, None])
-    return terms.sum(axis=0)
 
 
 def norm_growth_check(norms, r: float) -> bool:

@@ -151,20 +151,17 @@ def _max_abs(residuals) -> float:
     return float(np.max([np.max(np.abs(r)) for r in residuals]))
 
 
-def _ccr_deviations(lowers, raisers, gram: np.ndarray) -> list[float]:
-    return [
-        commutator(x, y).safe_deviation(gram[i, j])
-        for i, x in enumerate(lowers)
-        for j, y in enumerate(raisers)
-    ]
-
-
 def deformed_ccr_deviation(g: GL2Matrix, L_max: int) -> float:
     """Max deviation of [A_i, A_j^dag] = ((dagger g) g)_ij I on the safe block
     and of [A1, A2] = 0 on the whole truncation; at g = I it is the two-mode
     canonical commutation relation [a_i, a_j^dag] = delta_ij I."""
     A1, A2, A1d, A2d = deformed_two_mode(g, L_max)
-    ccr = _ccr_deviations((A1, A2), (A1d, A2d), g.gram().as_array())
+    gram = g.gram().as_array()
+    ccr = [
+        commutator(x, y).safe_deviation(gram[i, j])
+        for i, x in enumerate((A1, A2))
+        for j, y in enumerate((A1d, A2d))
+    ]
     return _max_abs([*ccr, *commutator(A1, A2).parts.values()])
 
 

@@ -6,7 +6,12 @@ Every weight here belongs to one family,
 
 with w(0) = 1; s is the Cahill-Glauber ordering parameter (Phys. Rev. 177,
 1857, 1969), and alpha and -beta are the Wirtinger derivatives of w at the
-origin.  A weight turns a phase-space function f into an operator through
+origin.  ``Weight`` is the only way a weight enters the library, and its
+constructor is the only place that enforces s < 1.  Without drift the
+weight operator int D(z) w(z) d^2z / pi is diagonal, with the closed form
+2/(1-s) ((s+1)/(s-1))^n that ``weight_diagonal_table`` checks against a
+radial quadrature.  A weight turns a phase-space function f into an
+operator through
 
     A_f = int F[f](-z) D(z) w(z) d^2z / pi,
 
@@ -64,6 +69,55 @@ class Weight:
         # the real factor is its own exp, so a weight without drift reads
         # e^{s |z|^2 / 2} bit for bit
         return np.exp(self.s * np.abs(z) ** 2 / 2) * np.exp(self.alpha * z - self.beta * np.conj(z))
+
+
+def weight_operator_diag(w: Weight, n: int) -> float:
+    """Closed-form diagonal of the weight operator of a weight without
+    drift: 2/(1-s) ((s+1)/(s-1))^n; reduces to 2 (-1)^n at s = 0 and to
+    the n = 0 projector at s = -1."""
+    if w.alpha or w.beta:
+        raise ValueError(f"the closed-form diagonal needs a weight without drift, got {w}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    ratio = (w.s + 1) / (w.s - 1)
+    return 2 / (1 - w.s) * ratio**n
+
+
+def weight_diagonal_table(w: Weight, n_max: int) -> list[dict]:
+    """Closed form against quadrature of the weight-operator diagonal for
+    n = 0..n_max: per n the closed value, the numeric value, the absolute
+    error and the error relative to max(1, |closed|)."""
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+    rows = []
+    for n, numeric in enumerate(_weight_numeric_diagonal(w, n_max).tolist()):
+        closed = weight_operator_diag(w, n)
+        abs_err = abs(numeric - closed)
+        rows.append(
+            {
+                "n": n,
+                "closed_form": closed,
+                "numeric": numeric,
+                "abs_err": abs_err,
+                "rel_err": abs_err / max(1.0, abs(closed)),
+            }
+        )
+    return rows
+
+
+def _weight_numeric_diagonal(w: Weight, n_max: int) -> np.ndarray:
+    """The diagonal of the weight operator of w's Gaussian factor for
+    n = 0..n_max by one radial quadrature of e^{s|z|^2/2} D[n, n](z); the
+    integrand has no angular dependence."""
+    scheme = polar_scheme(64, 1, radial_scale=(1 - w.s) / 2)
+    t = np.abs(scheme.nodes) ** 2
+    diag = np.diagonal(displacement_radial(t, n_max + 1), axis1=1, axis2=2)
+    # far out e^{s t/2} overflows where D[n, n] underflows to 0; there the
+    # product, kept in the log domain, is 0 too
+    with np.errstate(divide="ignore"):
+        log_weight = np.log(scheme.weights) + w.s * t / 2
+        terms = np.sign(diag) * np.exp(np.log(np.abs(diag)) + log_weight[:, None])
+    return terms.sum(axis=0)
 
 
 def quantize_linear(w: Weight, g: GL2Matrix, L_max: int):

@@ -34,11 +34,12 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from pblab import fock, indexing
 from pblab.deformed import deformed_coeffs, deformed_via_rep, norm_sq, norm_sq_inner
-from pblab.displacement import canonical_displacement, coherent_coefficients, weight_diagonal_table, wedge
+from pblab.displacement import canonical_displacement, coherent_coefficients, wedge
 from pblab.fock import cuntz_domain_dim, metric_operators
 from pblab.gl2 import GL2Matrix, SectorOperator, dual, random_gl2, rep_full
 from pblab.hermite import PolyCoeffs, hermite_coeffs, hermite_via_contraction, inner
 from pblab.quadrature import FACTORIALS, PlaneScheme, exact_gaussian_moment, polar_scheme
+from pblab.quantize import Weight, weight_diagonal_table
 
 
 def rep_block_loop(g, L):
@@ -550,10 +551,10 @@ def bicoherent_norm_envelope(z_abs: float, r: float, alpha: float) -> float:
     return math.exp(-(z_abs**2)) * total**2
 
 
-def weight_operator_numeric(s: float, n: int) -> float:
+def weight_operator_numeric(w: Weight, n: int) -> float:
     """The weight-operator diagonal at n by quadrature of e^{s|z|^2/2} D[n, n](z),
     the numeric column of ``weight_diagonal_table``."""
-    return weight_diagonal_table(s, n)[n]["numeric"]
+    return weight_diagonal_table(w, n)[n]["numeric"]
 
 
 def poly_allclose(p, q, atol: float = 1e-12) -> bool:

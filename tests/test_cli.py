@@ -13,6 +13,8 @@ import pytest
 from pblab import acceptance, deformed, gl2
 from pblab.acceptance import CriterionResult
 from pblab.cli import main, parse_complex, parse_gl2
+from pblab.fock import pseudo_pair
+from pblab.quantize import Weight, oracle_deviation
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -73,13 +75,42 @@ class TestSubcommands:
         assert code == 0 and payload["passed"]
 
     def test_quantize_table_example(self, capsys):
-        code, out = run_cli(
-            capsys, "quantize", "--weight", "gauss-s", "--s", "0", "--n-max", "5"
-        )
+        code, out = run_cli(capsys, "quantize", "--s", "0", "--n-max", "5")
         payload = json.loads(out)
         assert code == 0
         closed = [row["closed_form"] for row in payload["results"]]
         assert closed == [2.0, -2.0, 2.0, -2.0, 2.0, -2.0]
+
+    def test_quantize_reads_one_weight_from_its_options(self, capsys):
+        argv = ["quantize", "--check", "oracle", "--s", "-0.5", "--alpha", "0.3", "--beta", "0.2:-0.1"]
+        code, out = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        pair = pseudo_pair(gl2.GL2Matrix(1, 1, 0, 1), 8)
+        expected = oracle_deviation(pair, "z", 0.01, Weight(0.3, 0.2 - 0.1j, -0.5))
+        (row,) = payload["results"]
+        # the mollifier bias at the default regularizer, 0.01, is 0.13: far
+        # above the default tolerance, so the check fails as it should
+        assert code == 1 and row["deviation"] == expected
+        params = payload["params"]
+        assert (params["alpha"], params["beta"], params["s"]) == ("0.3", "0.2:-0.1", -0.5)
+        assert "weight" not in params
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (("quantize", "--check", "table", "--alpha", "0.3"), None),
+            (("quantize", "--check", "pseudo-canonical", "--s", "1"), None),
+            (("quantize",), "weight = unit\n"),
+        ],
+        ids=["table-with-drift", "divergent-s", "weight-selector-in-config"],
+    )
+    def test_quantize_rejects_what_its_weight_cannot_be(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            cfg = tmp_path / "weight.cfg"
+            cfg.write_text(config)
+            argv += ("--config", str(cfg))
+        code, out = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
 
     def test_deformed_gram(self, capsys):
         code, out = run_cli(capsys, "deformed", "--g", "1,1,0,1", "--l-max", "4", "--check", "gram")
@@ -317,6 +348,7 @@ class TestReadmeExamples:
             payload = json.loads(out)
             assert payload["schema"] == 1
             assert payload["passed"] is (code == 0)
+            assert payload["passed"] == all(r["pass"] for r in payload["results"])
 
     def test_suite_example_is_listed(self):
         assert (["suite"], 0) in readme_examples()

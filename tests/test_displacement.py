@@ -17,13 +17,12 @@ from pblab.displacement import (
     norm_growth_check,
     radial_tail,
     resolution_check,
-    weight_diagonal_table,
-    weight_operator_diag,
     wedge,
 )
 from pblab.fock import pseudo_pair
 from pblab.gl2 import GL2Matrix, dual, random_gl2, rep_full
 from pblab.quadrature import polar_scheme
+from pblab.quantize import Weight, weight_diagonal_table, weight_operator_diag
 
 from oracles import (
     bicoherent_norm_envelope,
@@ -343,41 +342,50 @@ class TestResolution:
 
 class TestWeightOperator:
     def test_closed_form_special_points(self):
-        assert weight_operator_diag(0.0, 3) == pytest.approx(-2.0)
-        assert weight_operator_diag(0.0, 4) == pytest.approx(2.0)
-        assert weight_operator_diag(-1.0, 0) == pytest.approx(1.0)
+        assert weight_operator_diag(Weight(s=0.0), 3) == pytest.approx(-2.0)
+        assert weight_operator_diag(Weight(s=0.0), 4) == pytest.approx(2.0)
+        assert weight_operator_diag(Weight(s=-1.0), 0) == pytest.approx(1.0)
         for n in range(1, 5):
-            assert weight_operator_diag(-1.0, n) == pytest.approx(0.0)
-        assert weight_operator_diag(-3.0, 2) == pytest.approx(0.125)
+            assert weight_operator_diag(Weight(s=-1.0), n) == pytest.approx(0.0)
+        assert weight_operator_diag(Weight(s=-3.0), 2) == pytest.approx(0.125)
 
     # at s = 0.9 the radial nodes reach |z|^2 ~ 4700, where e^{s|z|^2/2}
     # overflows and e^{-|z|^2/2} underflows; only their product is in range
     @pytest.mark.parametrize("s", [-3.0, -1.0, 0.0, 0.5, 0.9])
     def test_numeric_matches_closed_form(self, s):
         for n in range(11):
-            closed = weight_operator_diag(s, n)
-            numeric = weight_operator_numeric(s, n)
+            closed = weight_operator_diag(Weight(s=s), n)
+            numeric = weight_operator_numeric(Weight(s=s), n)
             assert abs(numeric - closed) <= 1e-6 * max(1.0, abs(closed))
 
     def test_table_rows(self):
-        rows = weight_diagonal_table(0.5, 4)
+        w = Weight(s=0.5)
+        rows = weight_diagonal_table(w, 4)
         assert [row["n"] for row in rows] == list(range(5))
         for row in rows:
-            closed = weight_operator_diag(0.5, row["n"])
+            closed = weight_operator_diag(w, row["n"])
             assert row["closed_form"] == closed
-            assert row["numeric"] == weight_operator_numeric(0.5, row["n"])
+            assert row["numeric"] == weight_operator_numeric(w, row["n"])
             assert row["abs_err"] == abs(row["numeric"] - closed)
             assert row["rel_err"] == row["abs_err"] / max(1.0, abs(closed))
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            weight_diagonal_table(0.0, -1)
+            weight_diagonal_table(Weight(s=0.0), -1)
 
     def test_divergent_s_rejected(self):
+        # s < 1 is the weight's own rule, so no divergent weight reaches the diagonal
         with pytest.raises(ValueError):
-            weight_operator_diag(1.0, 0)
+            Weight(s=1.0)
         with pytest.raises(ValueError):
-            weight_operator_numeric(1.5, 0)
+            Weight(s=1.5)
+
+    def test_closed_form_rejects_a_drift(self):
+        # 2/(1-s) ((s+1)/(s-1))^n is the diagonal of a weight without drift only
+        with pytest.raises(ValueError, match="drift"):
+            weight_operator_diag(Weight(0.3), 0)
+        with pytest.raises(ValueError, match="drift"):
+            weight_diagonal_table(Weight(beta=0.2 - 0.1j, s=-0.5), 3)
 
 
 class TestNormGrowth:
